@@ -16,7 +16,7 @@ TOTAL=$(printf '%s\n' "$TEST_OUT" \
 echo "    workspace test count: $TOTAL"
 # Regression guard: the suite only ever grows. Raise the floor when
 # you add tests; never lower it.
-MIN_TESTS=560
+MIN_TESTS=572
 if [ "$TOTAL" -lt "$MIN_TESTS" ]; then
     echo "ci: workspace test count regressed below $MIN_TESTS (got $TOTAL)" >&2
     exit 1
@@ -55,6 +55,14 @@ for hh in examples/hh/*.hh; do
         echo "    $hh: ok"
     fi
 done
+
+# Allocation gate: exact steady-state allocation counts under the test
+# binary's own counting global allocator (tests/alloc_gate.rs). A
+# levelized `react_with` allocates only the outputs vector it returns; a
+# 1000-session pool's inject + tick stays at or below 1.1 allocations
+# per session-reaction.
+echo "==> allocation gate (counting allocator)"
+cargo test -q --offline --test alloc_gate
 
 # Widened cross-engine differential sweep: every generated program runs
 # under the levelized, constructive, naive, hybrid and sparse engines

@@ -26,12 +26,12 @@
 //! additionally requires that the SCC has no internal dependency edges
 //! (boolean convergence says nothing about action resolution order).
 
-use crate::circuit::Circuit;
+use crate::circuit::CircuitBody;
 use crate::net::{NetId, NetKind};
 use std::collections::HashMap;
 
 /// SCC condensation of a circuit's combinational graph, from
-/// [`Circuit::condensation`]. Component ids are a topological
+/// [`CircuitBody::condensation`]. Component ids are a topological
 /// *evaluation* order: every fanin or dependency of a net lives in a
 /// component with an id ≤ its consumer's (equal exactly when both sit on
 /// the same cycle).
@@ -172,7 +172,7 @@ const CONE_MAX_BITS: u32 = 10;
 const CONE_MAX_NETS: usize = 2048;
 const WORK_BUDGET: u64 = 1 << 22;
 
-impl Circuit {
+impl CircuitBody {
     /// Computes the SCC condensation of the combinational graph (fanin
     /// edges plus data dependencies). Works on unfinalized circuits.
     pub fn condensation(&self) -> Condensation {
@@ -576,6 +576,7 @@ fn kleene_fold(inputs: impl Iterator<Item = i8>, controlling: bool) -> i8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Circuit;
     use crate::net::Fanin;
     use hiphop_core::rng::Rng;
 

@@ -9,16 +9,76 @@ use crate::net::{
 use hiphop_core::ast::Loc;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::rc::Rc;
 
 /// An augmented boolean circuit (paper §5.1) ready for simulation.
 ///
 /// Built by `hiphop-compiler`; executed by `hiphop-runtime`. The structure
-/// is append-only during construction and sealed by [`Circuit::finalize`],
+/// is append-only during construction and sealed by [`CircuitBody::finalize`],
 /// which computes fanouts and dependency fanouts for the linear-time
 /// simulation (paper §5.2: "execution is linear in the number of net
 /// connections and data dependencies").
-#[derive(Debug, Clone, Default)]
+///
+/// A `Circuit` is a copy-on-write handle: clones share one reference-
+/// counted [`CircuitBody`] (read through `Deref`), and the first mutation
+/// through a shared handle copies the body first (`DerefMut` is
+/// [`Rc::make_mut`]). A finalized circuit is therefore an immutable value
+/// that any number of machines can run without copying it, and
+/// [`Circuit::body_id`] identifies the shared body — the runtime keys its
+/// per-program tables on it.
+#[derive(Clone, Default)]
 pub struct Circuit {
+    body: Rc<CircuitBody>,
+}
+
+impl Circuit {
+    /// Creates an empty circuit.
+    pub fn new(name: impl Into<String>) -> Circuit {
+        Circuit::from(CircuitBody::new(name))
+    }
+
+    /// Identity of the shared body: equal for every clone of one circuit
+    /// and stable while any of them lives. A copy-on-write mutation moves
+    /// the mutated handle to a fresh body (and identity) whenever the
+    /// body was shared.
+    pub fn body_id(&self) -> usize {
+        Rc::as_ptr(&self.body) as usize
+    }
+}
+
+impl Deref for Circuit {
+    type Target = CircuitBody;
+    #[inline]
+    fn deref(&self) -> &CircuitBody {
+        &self.body
+    }
+}
+
+impl DerefMut for Circuit {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut CircuitBody {
+        Rc::make_mut(&mut self.body)
+    }
+}
+
+impl From<CircuitBody> for Circuit {
+    fn from(body: CircuitBody) -> Circuit {
+        Circuit { body: Rc::new(body) }
+    }
+}
+
+impl fmt::Debug for Circuit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.body.fmt(f)
+    }
+}
+
+/// The contents of a [`Circuit`]: nets, registers, signals, counters,
+/// asyncs and actions plus the finalized fanout tables. Reached through
+/// the handle's `Deref`; never shared mutably.
+#[derive(Debug, Clone, Default)]
+pub struct CircuitBody {
     /// Program name.
     pub name: String,
     nets: Vec<Net>,
@@ -34,8 +94,8 @@ pub struct Circuit {
     pub terminated_net: Option<NetId>,
     /// Flattened fanout edges with the consuming edge's polarity, grouped
     /// by source net (compressed sparse rows, computed by
-    /// [`Circuit::finalize`]). `fanout_start[i]..fanout_start[i+1]` slices
-    /// the edges of net `i`.
+    /// [`CircuitBody::finalize`]). `fanout_start[i]..fanout_start[i+1]`
+    /// slices the edges of net `i`.
     fanout_edges: Vec<(NetId, bool)>,
     fanout_start: Vec<u32>,
     /// Flattened dependency fanouts (which nets wait on me), same layout.
@@ -44,12 +104,13 @@ pub struct Circuit {
     finalized: bool,
 }
 
-impl Circuit {
-    /// Creates an empty circuit.
-    pub fn new(name: impl Into<String>) -> Circuit {
-        Circuit {
+impl CircuitBody {
+    /// Creates an empty body, for builders that own their circuit
+    /// outright until it is done (wrap it with `Circuit::from`).
+    pub fn new(name: impl Into<String>) -> CircuitBody {
+        CircuitBody {
             name: name.into(),
-            ..Circuit::default()
+            ..CircuitBody::default()
         }
     }
 
@@ -601,7 +662,7 @@ impl Circuit {
     /// "192 to 216 bytes per net" JavaScript accounting.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut total = size_of::<Circuit>();
+        let mut total = size_of::<CircuitBody>();
         for net in &self.nets {
             total += size_of::<Net>();
             total += net.fanins.capacity() * size_of::<Fanin>();

@@ -29,7 +29,7 @@ pub mod net;
 
 pub use analysis::{Condensation, ConstructivenessAnalysis, SccVerdict, Verdict};
 pub use dataflow::{CircuitFacts, ConstFacts, EmitCapability, Transfer, ValueSet};
-pub use circuit::{Circuit, CircuitStats, Levelization};
+pub use circuit::{Circuit, CircuitBody, CircuitStats, Levelization};
 pub use net::{
     Action, ActionId, AsyncId, AsyncInfo, CounterId, CounterInfo, Fanin, Net, NetId, NetKind,
     RegId, Register, SignalId, SignalInfo, TestKind,

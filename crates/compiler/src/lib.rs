@@ -236,7 +236,7 @@ pub fn compile_linked_full(
     let compiled = tr.stmt(&body, wires)?;
     tr.fixup_value_deps();
 
-    let mut circuit = tr.c;
+    let mut circuit = Circuit::from(tr.c);
     circuit.boot_net = Some(boot);
     circuit.terminated_net = compiled.k.first().copied();
     let report = if options.optimize {

@@ -17,7 +17,7 @@
 use crate::reincarnation::needs_duplication;
 use crate::CompileError;
 use hiphop_circuit::{
-    Action, AsyncInfo, Circuit, Fanin, NetId, SignalId, SignalInfo, TestKind,
+    Action, AsyncInfo, CircuitBody, Fanin, NetId, SignalId, SignalInfo, TestKind,
 };
 use hiphop_core::ast::{AsyncSpec, Delay, Loc, Stmt};
 use hiphop_core::expr::{BinOp, Expr, SigAccess, UnOp};
@@ -53,7 +53,9 @@ pub struct Compiled {
 }
 
 pub(crate) struct Translator {
-    pub c: Circuit,
+    /// The circuit under construction, owned outright (the shareable
+    /// copy-on-write handle is made once translation ends).
+    pub c: CircuitBody,
     pub const0: NetId,
     pub const1: NetId,
     scopes: Vec<HashMap<String, SignalId>>,
@@ -65,7 +67,7 @@ pub(crate) struct Translator {
 
 impl Translator {
     pub fn new(name: &str) -> Translator {
-        let mut c = Circuit::new(name);
+        let mut c = CircuitBody::new(name);
         let const0 = c.constant(false, "const0");
         let const1 = c.constant(true, "const1");
         Translator {

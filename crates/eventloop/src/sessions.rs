@@ -58,12 +58,16 @@ use hiphop_runtime::{
     OutputEvent, PoolMetrics, Reaction, RuntimeError, ShardRollup,
 };
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Distinct injected signal names [`SessionPool::inject`] interns before
+/// it starts over.
+const MAX_INTERNED_NAMES: usize = 4096;
 
 /// Stable identifier of one session in a pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -170,6 +174,65 @@ impl TickReport {
     }
 }
 
+/// One injected input: target session, interned signal name, value.
+type Input = (SessionId, Arc<str>, Value);
+
+/// One session's tick outcome: its output batch and how many reactions
+/// the batch folds, or the error that rolled the session back.
+type Batch = Result<(SessionOutputs, usize), RuntimeError>;
+
+/// Runs one session's reaction with its already staged inputs, plus any
+/// synchronously drained mailbox follow-ups, as one output batch (what
+/// [`Driver::react`] returns, without its per-call vectors): the first
+/// reaction's outputs vector becomes the batch's and later ones are
+/// moved in. Returns the batch and how many reactions it folds; a drain
+/// error fails the whole batch, as in `Driver::react`.
+fn react_batch(machine: &mut Machine, session: SessionId) -> Batch {
+    let first = machine.react()?;
+    let more = machine.drain()?;
+    Ok(fold_batch(session, first, more))
+}
+
+/// Folds a committed reaction and its drained follow-ups into one batch.
+fn fold_batch(session: SessionId, first: Reaction, more: Vec<Reaction>) -> (SessionOutputs, usize) {
+    let reactions = 1 + more.len();
+    let mut batch = SessionOutputs {
+        session,
+        outputs: first.outputs,
+        terminated: first.terminated,
+    };
+    for r in more {
+        batch.terminated |= r.terminated;
+        batch.outputs.extend(r.outputs);
+    }
+    (batch, reactions)
+}
+
+/// Stages one session's inputs — the run of `inputs` (sorted by session)
+/// starting at `*cursor` — moving the values out. Inputs addressed to
+/// sessions below `session` (closed or unknown ones) are skipped. Stops
+/// at the first staging error, leaving the inputs staged so far in
+/// place, exactly as [`Machine::react_with`] does.
+fn stage_inputs(
+    machine: &mut Machine,
+    session: SessionId,
+    inputs: &mut [Input],
+    cursor: &mut usize,
+) -> Result<(), RuntimeError> {
+    while *cursor < inputs.len() && inputs[*cursor].0 < session {
+        *cursor += 1;
+    }
+    let mut staged = Ok(());
+    while *cursor < inputs.len() && inputs[*cursor].0 == session {
+        let (_, name, value) = &mut inputs[*cursor];
+        *cursor += 1;
+        if staged.is_ok() {
+            staged = machine.set_input(name, Some(std::mem::take(value)));
+        }
+    }
+    staged
+}
+
 // ---------------------------------------------------------------------------
 // Shard worker protocol. Every payload is Send; machines never cross.
 
@@ -180,11 +243,9 @@ enum Cmd {
     /// fatal.
     Open(Vec<SessionId>, Sender<Result<ShardTick, String>>),
     /// Run one reaction per session with the batched inputs, then
-    /// advance the shard clock.
-    Tick {
-        inputs: Vec<(SessionId, String, Value)>,
-        reply: Sender<ShardTick>,
-    },
+    /// advance the shard clock. The reply goes out on the shard's
+    /// long-lived tick channel ([`ShardHandle::ticks`]).
+    Tick(Vec<Input>),
     /// State digests of every live session (for isolation tests and
     /// flight-recorder checkpoints).
     Digests(Sender<Vec<(SessionId, String)>>),
@@ -238,6 +299,8 @@ struct ShardTick {
 
 struct ShardHandle {
     tx: Sender<Cmd>,
+    /// Tick replies, one per [`Cmd::Tick`], in order; reused every tick.
+    ticks: Receiver<ShardTick>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -307,26 +370,18 @@ impl ShardState {
             if self.level_activity {
                 machine.enable_level_activity();
             }
-            let driver = Driver {
-                machine: Rc::new(RefCell::new(machine)),
-                el: self.el.clone(),
-            };
             let mut quarantined = false;
             // A failed boot reaction rolls back like any other fault: the
             // session stays open (un-booted — the next tick runs its
             // first instant) unless the machine is poisoned.
-            match driver.react(&[]) {
-                Ok(boot) => {
-                    out.reactions += boot.len();
-                    out.outputs.push(SessionOutputs {
-                        session: id,
-                        outputs: boot.iter().flat_map(|r| r.outputs.clone()).collect(),
-                        terminated: boot.iter().any(|r| r.terminated),
-                    });
+            match react_batch(&mut machine, id) {
+                Ok((batch, reactions)) => {
+                    out.reactions += reactions;
+                    out.outputs.push(batch);
                 }
                 Err(e) => {
                     self.rollbacks += 1;
-                    quarantined = driver.machine.borrow().is_poisoned();
+                    quarantined = machine.is_poisoned();
                     if quarantined {
                         self.quarantined += 1;
                     }
@@ -337,6 +392,10 @@ impl ShardState {
                     });
                 }
             }
+            let driver = Driver {
+                machine: Rc::new(RefCell::new(machine)),
+                el: self.el.clone(),
+            };
             self.sessions.insert(
                 id,
                 Slot {
@@ -351,11 +410,11 @@ impl ShardState {
         Ok(out)
     }
 
-    fn tick(&mut self, inputs: Vec<(SessionId, String, Value)>) -> ShardTick {
-        let mut per_session: BTreeMap<SessionId, Vec<(String, Value)>> = BTreeMap::new();
-        for (id, signal, value) in inputs {
-            per_session.entry(id).or_default().push((signal, value));
-        }
+    fn tick(&mut self, mut inputs: Vec<Input>) -> ShardTick {
+        // Stable: a session's inputs keep their injection order. The
+        // sweeps below walk the sorted batch alongside the (id-ordered)
+        // session map.
+        inputs.sort_by_key(|input| input.0);
         let mut out = ShardTick {
             outputs: Vec::new(),
             faults: Vec::new(),
@@ -378,23 +437,24 @@ impl ShardState {
             // Bit-parallel sweep: eligible sessions advance in lockstep
             // cohorts; per-reaction spans are not emitted (the sweep
             // span still is — cohorts have no per-session wall time).
-            self.sweep_cohort(&per_session, width, &mut out);
+            self.sweep_cohort(&mut inputs, width, &mut out);
         } else {
             // Local copies: the loop holds `self.sessions` mutably, so
             // span ids come from a local sequence written back
             // afterwards.
             let shard_tag = (self.index as u64 + 1) << 40;
             let mut span_seq = self.span_seq;
+            let mut cursor = 0;
             for (&id, slot) in &mut self.sessions {
                 if slot.quarantined {
                     continue;
                 }
-                let empty = Vec::new();
-                let inputs = per_session.get(&id).unwrap_or(&empty);
-                let refs: Vec<(&str, Value)> =
-                    inputs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
                 let span_start = sweep_span.map(|_| self.epoch.elapsed().as_micros() as u64);
-                let reacted = slot.driver.react(&refs);
+                let reacted = {
+                    let mut machine = slot.driver.machine.borrow_mut();
+                    stage_inputs(&mut machine, id, &mut inputs, &mut cursor)
+                        .and_then(|()| react_batch(&mut machine, id))
+                };
                 if let (Some((sweep_id, _)), Some(ts_us)) = (sweep_span, span_start) {
                     let end = self.epoch.elapsed().as_micros() as u64;
                     span_seq += 1;
@@ -411,13 +471,9 @@ impl ShardState {
                 }
                 self.span_seq = span_seq;
                 match reacted {
-                    Ok(reactions) => {
-                        out.reactions += reactions.len();
-                        out.outputs.push(SessionOutputs {
-                            session: id,
-                            outputs: reactions.iter().flat_map(|r| r.outputs.clone()).collect(),
-                            terminated: reactions.iter().any(|r| r.terminated),
-                        });
+                    Ok((batch, reactions)) => {
+                        out.reactions += reactions;
+                        out.outputs.push(batch);
                     }
                     Err(e) => {
                         // The failed reaction rolled back: the session's
@@ -448,13 +504,11 @@ impl ShardState {
             }
             let drained = slot.driver.machine.borrow_mut().drain();
             match drained {
-                Ok(reactions) if !reactions.is_empty() => {
-                    out.reactions += reactions.len();
-                    out.outputs.push(SessionOutputs {
-                        session: id,
-                        outputs: reactions.iter().flat_map(|r| r.outputs.clone()).collect(),
-                        terminated: reactions.iter().any(|r| r.terminated),
-                    });
+                Ok(mut reactions) if !reactions.is_empty() => {
+                    let first = reactions.remove(0);
+                    let (batch, n) = fold_batch(id, first, reactions);
+                    out.reactions += n;
+                    out.outputs.push(batch);
                 }
                 Ok(_) => {}
                 Err(e) => {
@@ -499,31 +553,20 @@ impl ShardState {
     /// scalar sweep exactly, so cohort mode is a pure execution
     /// strategy; the only observable difference is telemetry
     /// granularity (no per-reaction spans inside a cohort).
-    fn sweep_cohort(
-        &mut self,
-        per_session: &BTreeMap<SessionId, Vec<(String, Value)>>,
-        width: CohortWidth,
-        out: &mut ShardTick,
-    ) {
-        // Stage inputs up front (the scalar path stages through
-        // `Driver::react`). A staging error faults the session and it
-        // skips this tick's reaction, exactly as in the scalar path.
+    fn sweep_cohort(&mut self, inputs: &mut [Input], width: CohortWidth, out: &mut ShardTick) {
+        // Stage inputs up front (the scalar path stages just before each
+        // reaction). A staging error faults the session and it skips
+        // this tick's reaction, exactly as in the scalar path.
         let mut groups: BTreeMap<u64, Vec<SessionId>> = BTreeMap::new();
         let mut scalars: Vec<SessionId> = Vec::new();
         let mut staging_faults: Vec<(SessionId, String)> = Vec::new();
+        let mut cursor = 0;
         for (&id, slot) in &self.sessions {
             if slot.quarantined {
                 continue;
             }
             let mut machine = slot.driver.machine.borrow_mut();
-            let mut staged = Ok(());
-            for (signal, value) in per_session.get(&id).map_or(&[][..], |v| v) {
-                staged = machine.set_input(signal, Some(value.clone()));
-                if staged.is_err() {
-                    break;
-                }
-            }
-            match staged {
+            match stage_inputs(&mut machine, id, inputs, &mut cursor) {
                 Err(e) => staging_faults.push((id, e.to_string())),
                 Ok(()) => match cohort_key(&machine) {
                     Some(key) => groups.entry(key).or_default().push(id),
@@ -540,8 +583,7 @@ impl ShardState {
             });
         }
         for ids in groups.into_values() {
-            let mut outcomes: Vec<(SessionId, Result<Vec<Reaction>, RuntimeError>)> =
-                Vec::with_capacity(ids.len());
+            let mut outcomes: Vec<(SessionId, Batch)> = Vec::with_capacity(ids.len());
             {
                 let mut borrows: Vec<std::cell::RefMut<'_, Machine>> = ids
                     .iter()
@@ -558,13 +600,8 @@ impl ShardState {
                     // any synchronously drained mailbox follow-ups form
                     // one batch, and a drain error faults the whole
                     // batch.
-                    let reacted = result.and_then(|r| {
-                        machine.drain().map(|mut more| {
-                            let mut batch = vec![r];
-                            batch.append(&mut more);
-                            batch
-                        })
-                    });
+                    let reacted =
+                        result.and_then(|r| machine.drain().map(|more| fold_batch(*id, r, more)));
                     outcomes.push((*id, reacted));
                 }
             }
@@ -573,7 +610,7 @@ impl ShardState {
             }
         }
         for id in scalars {
-            let reacted = self.sessions[&id].driver.react(&[]);
+            let reacted = react_batch(&mut self.sessions[&id].driver.machine.borrow_mut(), id);
             self.report_outcome(id, reacted, out);
         }
     }
@@ -583,17 +620,13 @@ impl ShardState {
     fn report_outcome(
         &mut self,
         id: SessionId,
-        reacted: Result<Vec<Reaction>, RuntimeError>,
+        reacted: Batch,
         out: &mut ShardTick,
     ) {
         match reacted {
-            Ok(reactions) => {
-                out.reactions += reactions.len();
-                out.outputs.push(SessionOutputs {
-                    session: id,
-                    outputs: reactions.iter().flat_map(|r| r.outputs.clone()).collect(),
-                    terminated: reactions.iter().any(|r| r.terminated),
-                });
+            Ok((batch, reactions)) => {
+                out.reactions += reactions;
+                out.outputs.push(batch);
             }
             Err(e) => {
                 self.rollbacks += 1;
@@ -773,19 +806,20 @@ impl ShardState {
             rollbacks: self.rollbacks,
             metrics: sink.snapshot(),
             samples_us: sink.duration_samples_us(),
+            durations: sink.duration_histogram().clone(),
             level_activity,
         }
     }
 }
 
-fn shard_main(mut state: ShardState, rx: Receiver<Cmd>) {
+fn shard_main(mut state: ShardState, rx: Receiver<Cmd>, ticks: Sender<ShardTick>) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Open(ids, reply) => {
                 let _ = reply.send(state.open(ids));
             }
-            Cmd::Tick { inputs, reply } => {
-                let _ = reply.send(state.tick(inputs));
+            Cmd::Tick(inputs) => {
+                let _ = ticks.send(state.tick(inputs));
             }
             Cmd::Digests(reply) => {
                 let _ = reply.send(state.digests());
@@ -869,7 +903,9 @@ pub struct SessionPool {
     ticks: u64,
     critical_path_us: f64,
     /// Buffered inputs, flushed by the next [`SessionPool::tick`].
-    pending: Vec<(SessionId, String, Value)>,
+    pending: Vec<Input>,
+    /// Interned signal names of injected inputs.
+    names: HashSet<Arc<str>>,
     sessions: usize,
     /// Every opened (not-yet-closed) session, for snapshots and
     /// migration planning.
@@ -934,6 +970,7 @@ impl SessionPool {
         let shards = (0..shards)
             .map(|index| {
                 let (tx, rx) = channel();
+                let (tick_tx, ticks) = channel();
                 let factory = factory.clone();
                 let join = std::thread::Builder::new()
                     .name(format!("hiphop-shard-{index}"))
@@ -954,10 +991,14 @@ impl SessionPool {
                             cohort: None,
                             engine: None,
                         };
-                        shard_main(state, rx);
+                        shard_main(state, rx, tick_tx);
                     })
                     .expect("spawn shard thread");
-                ShardHandle { tx, join: Some(join) }
+                ShardHandle {
+                    tx,
+                    ticks,
+                    join: Some(join),
+                }
             })
             .collect();
         SessionPool {
@@ -966,6 +1007,7 @@ impl SessionPool {
             ticks: 0,
             critical_path_us: 0.0,
             pending: Vec::new(),
+            names: HashSet::new(),
             sessions: 0,
             roster: BTreeSet::new(),
             routes: HashMap::new(),
@@ -1402,7 +1444,21 @@ impl SessionPool {
     /// [`SessionPool::tick`]. Multiple injections for the same session
     /// land in the same reaction (one batched instant per tick).
     pub fn inject(&mut self, session: SessionId, signal: &str, value: Value) {
-        self.pending.push((session, signal.to_owned(), value));
+        let name = match self.names.get(signal) {
+            Some(name) => name.clone(),
+            None => {
+                // Callers inject a program's few input names over and
+                // over; a flood of distinct names must not grow the
+                // table without bound.
+                if self.names.len() >= MAX_INTERNED_NAMES {
+                    self.names.clear();
+                }
+                let name: Arc<str> = Arc::from(signal);
+                self.names.insert(name.clone());
+                name
+            }
+        };
+        self.pending.push((session, name, value));
     }
 
     /// Sweeps every shard in parallel: each shard runs one reaction per
@@ -1421,7 +1477,7 @@ impl SessionPool {
                 .iter()
                 .map(|(id, signal, value)| RecordedInput {
                     session: id.0,
-                    signal: signal.clone(),
+                    signal: signal.to_string(),
                     value: value.clone(),
                 })
                 .collect()
@@ -1429,8 +1485,7 @@ impl SessionPool {
         let tick_ts = self
             .tracing
             .then(|| self.epoch.elapsed().as_micros() as u64);
-        let mut per_shard: Vec<Vec<(SessionId, String, Value)>> =
-            vec![Vec::new(); self.shards.len()];
+        let mut per_shard: Vec<Vec<Input>> = vec![Vec::new(); self.shards.len()];
         // Route through `shard_of`, not the raw hash: migrated sessions
         // receive their inputs on their adoptive shard.
         let pending = std::mem::take(&mut self.pending);
@@ -1444,31 +1499,28 @@ impl SessionPool {
             // its isolated (CPU) time, so `critical_path_us` stays
             // honest even on an oversubscribed single-core host.
             for (shard, inputs) in per_shard.into_iter().enumerate() {
-                let (tx, rx) = channel();
-                self.shards[shard]
-                    .tx
-                    .send(Cmd::Tick { inputs, reply: tx })
+                let h = &self.shards[shard];
+                h.tx.send(Cmd::Tick(inputs))
                     .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
                 shard_ticks.push(
-                    rx.recv()
+                    h.ticks
+                        .recv()
                         .map_err(|_| PoolError(format!("shard {shard} is gone")))?,
                 );
             }
         } else {
             // Fan out first — every shard works concurrently — then
             // gather.
-            let mut replies = Vec::new();
             for (shard, inputs) in per_shard.into_iter().enumerate() {
-                let (tx, rx) = channel();
                 self.shards[shard]
                     .tx
-                    .send(Cmd::Tick { inputs, reply: tx })
+                    .send(Cmd::Tick(inputs))
                     .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-                replies.push((shard, rx));
             }
-            for (shard, rx) in replies {
+            for (shard, h) in self.shards.iter().enumerate() {
                 shard_ticks.push(
-                    rx.recv()
+                    h.ticks
+                        .recv()
                         .map_err(|_| PoolError(format!("shard {shard} is gone")))?,
                 );
             }
@@ -1816,10 +1868,10 @@ impl Rebalancer {
             .per_shard
             .iter()
             .map(|s| {
-                let mean = if s.samples_us.is_empty() {
+                let mean = if s.metrics.reactions == 0 {
                     1.0
                 } else {
-                    s.samples_us.iter().sum::<f64>() / s.samples_us.len() as f64
+                    s.metrics.duration_us.mean
                 };
                 s.sessions as f64 * mean.max(1e-3)
             })

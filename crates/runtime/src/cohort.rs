@@ -42,7 +42,6 @@ use crate::telemetry::{ReactionStats, TraceEvent};
 use hiphop_circuit::{Action, Circuit, NetKind, TestKind};
 use hiphop_core::expr::SigAccess;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// Sessions per `u64` lane word: two bits per session (value + determined).
@@ -75,9 +74,10 @@ impl std::str::FromStr for CohortWidth {
 }
 
 /// Per-circuit execution recipe for the cohort sweep, built once per
-/// machine and cached on it: for every effectful net (test, early or
-/// late action), the exact set of nets whose packed values must be
-/// scattered into the lane machine before its scalar evaluation runs.
+/// program image and shared by its machines: for every effectful net
+/// (test, early or late action), the exact set of nets whose packed
+/// values must be scattered into the lane machine before its scalar
+/// evaluation runs.
 ///
 /// The set is the net's declared dependency edges plus the `pre` nets of
 /// every `S.pre` / `S.preval` read in its expressions — `pre` reads are
@@ -96,7 +96,7 @@ pub struct CohortPlan {
     prefix: Vec<bool>,
 }
 
-fn build_plan(circuit: &Circuit, sched: &LevelSchedule) -> CohortPlan {
+pub(crate) fn build_plan(circuit: &Circuit, sched: &LevelSchedule) -> CohortPlan {
     let n = circuit.nets().len();
     let mut scatter: Vec<Box<[u32]>> = Vec::with_capacity(n);
     let mut prefix = vec![false; n];
@@ -151,8 +151,8 @@ fn build_plan(circuit: &Circuit, sched: &LevelSchedule) -> CohortPlan {
 }
 
 // FNV-1a folding eight bytes per round: the schedule tables digested by
-// `cohort_key` run to ~16 bytes per net, and a per-byte loop over them
-// is slow enough to show up next to the sweep itself.
+// `structural_key` run to ~16 bytes per net, and a per-byte loop over
+// them is slow enough to show up next to the sweep itself.
 fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
     let mut chunks = bytes.chunks_exact(8);
     for c in chunks.by_ref() {
@@ -183,7 +183,7 @@ fn fnv_u32s(h: &mut u64, words: &[u32]) {
 /// (fine-grained net events, per-level activity accounting). Ineligible
 /// machines simply stay on the scalar path.
 fn eligible(m: &Machine) -> bool {
-    m.schedule.is_some()
+    m.image.schedule.is_some()
         && matches!(m.requested, None | Some(EngineMode::Levelized))
         && !m.fine_events
         && m.level_activity.is_none()
@@ -195,21 +195,16 @@ fn eligible(m: &Machine) -> bool {
 /// not cohort-eligible (cyclic circuit, non-levelized engine request,
 /// fine-grained tracing) and must stay on the scalar path.
 ///
-/// The key hashes the schedule's structure rather than comparing circuit
-/// pointers because every machine owns its own clone of the circuit.
+/// The key hashes the schedule's structure, so separately compiled but
+/// identical programs group together too; it is computed once per
+/// program image (eligibility stays dynamic).
 pub fn cohort_key(m: &Machine) -> Option<u64> {
-    if !eligible(m) {
-        return None;
-    }
-    // The tables below are immutable after construction, so the hash is
-    // memoized on the machine — the pool asks for every session's key
-    // every tick, and re-digesting ~4 words per net each time would
-    // rival the sweep itself.
-    if let Some(h) = m.cohort_struct_key.get() {
-        return Some(h);
-    }
-    let sched = m.schedule.as_ref()?;
-    let c = &m.circuit;
+    eligible(m).then(|| m.image.cohort_key())
+}
+
+/// The structural hash behind [`cohort_key`]: program name, dimensions
+/// and every schedule table the shared sweep reads.
+pub(crate) fn structural_key(c: &Circuit, sched: &LevelSchedule) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     fnv_bytes(&mut h, c.name.as_bytes());
     for dim in [
@@ -226,8 +221,7 @@ pub fn cohort_key(m: &Machine) -> Option<u64> {
     fnv_u32s(&mut h, &sched.aux);
     fnv_u32s(&mut h, &sched.fanin_start);
     fnv_u32s(&mut h, &sched.fanin_edges);
-    m.cohort_struct_key.set(Some(h));
-    Some(h)
+    h
 }
 
 #[inline]
@@ -356,16 +350,10 @@ pub fn react_cohort(
         lanes.iter().all(|m| cohort_key(m) == Some(key0)),
         "react_cohort lanes must share one cohort_key"
     );
-    let circuit = lanes[0].circuit.clone();
-    let sched = lanes[0].schedule.clone().expect("eligible lane has a schedule");
-    let plan = match &lanes[0].cohort_plan {
-        Some(p) => p.clone(),
-        None => {
-            let p = Rc::new(build_plan(&circuit, &sched));
-            lanes[0].cohort_plan = Some(p.clone());
-            p
-        }
-    };
+    let image = lanes[0].image.clone();
+    let circuit = &image.circuit;
+    let sched = image.schedule.as_ref().expect("eligible lane has a schedule");
+    let plan = image.cohort_plan();
 
     let n = circuit.nets().len();
     let nsig = circuit.signals().len();
@@ -453,7 +441,7 @@ pub fn react_cohort(
                 }
             }
             code @ (CODE_OR | CODE_AND) => {
-                fold_gate(&rows, &sched, i, w, code == CODE_OR, &mut acc, &present, wide);
+                fold_gate(&rows, sched, i, w, code == CODE_OR, &mut acc, &present, wide);
                 for wi in 0..w {
                     rows[base + wi] = DET_MASK | acc[wi];
                 }
@@ -477,8 +465,8 @@ pub fn react_cohort(
                         let m = &mut *lanes[s];
                         let list = &plan.scatter[i];
                         scatter(m, list, &rows, w, s);
-                        let mc = m.circuit.clone();
-                        if m.eval_test(&mc, id) {
+                        let mc = m.image.clone();
+                        if m.eval_test(&mc.circuit, id) {
                             rows[base + wi] |= 1 << t;
                         }
                     }
@@ -487,7 +475,7 @@ pub fn react_cohort(
             }
             code @ (CODE_OR_EARLY | CODE_AND_EARLY | CODE_OR_LATE | CODE_AND_LATE) => {
                 let or_gate = matches!(code, CODE_OR_EARLY | CODE_OR_LATE);
-                fold_gate(&rows, &sched, i, w, or_gate, &mut acc, &present, wide);
+                fold_gate(&rows, sched, i, w, or_gate, &mut acc, &present, wide);
                 for wi in 0..w {
                     let mut bits = acc[wi] & alive[wi];
                     while bits != 0 {
@@ -507,9 +495,9 @@ pub fn react_cohort(
                         } else {
                             scatter(m, &plan.scatter[i], &rows, w, s);
                         }
-                        let mc = m.circuit.clone();
+                        let mc = m.image.clone();
                         if let Err(e) =
-                            m.run_action(&mc, id, &mut emit_counts[s * nsig..(s + 1) * nsig])
+                            m.run_action(&mc.circuit, id, &mut emit_counts[s * nsig..(s + 1) * nsig])
                         {
                             // Peel: the lane's remaining effectful work
                             // is skipped (the scalar sweep aborts the
@@ -556,8 +544,9 @@ pub fn react_cohort(
                 m.terminated = true;
             }
         }
-        let outs = m.out_signals.clone();
-        let outputs = outs
+        let outputs = m
+            .image
+            .out_signals
             .iter()
             .map(|(i, name)| OutputEvent {
                 name: name.clone(),

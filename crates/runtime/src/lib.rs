@@ -45,6 +45,7 @@ pub mod isolate;
 pub mod levelized;
 pub mod machine;
 pub mod snapshot;
+pub mod image;
 mod sparse;
 pub mod telemetry;
 pub mod waveform;
@@ -63,8 +64,8 @@ pub use snapshot::{
     PoolSnapshot, SessionSnapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION,
 };
 pub use telemetry::{
-    chrome_trace, ChromeTraceSink, JsonlSink, LevelActivity, Metrics, MetricsSink, PoolMetrics,
-    ReactionStats, ShardRollup, SharedSink, SinkSet, SpanCollector, SpanKind, SpanRecord, Summary,
+    chrome_trace, ChromeTraceSink, Histogram, JsonlSink, LevelActivity, Metrics, MetricsSink,
+    PoolMetrics, ReactionStats, ShardRollup, SharedSink, SinkSet, SpanCollector, SpanKind, SpanRecord, Summary,
     TraceEvent, TraceSink, VcdSink,
 };
 pub use waveform::{SharedWaveform, Waveform};

@@ -1,8 +1,10 @@
 //! The reactive machine: atomic reactions over a compiled circuit.
 //!
 //! This is the paper's "JavaScript reactive machine" (§2.2.1, §5.2): it
-//! holds the circuit, the persistent state (registers, signal values,
-//! variables, counters, async instances), stages inputs, and executes each
+//! runs a circuit (through a program image shared with every machine of
+//! the same circuit, see [`crate::image`]), holds the persistent state
+//! (registers, signal values, variables, counters, async instances),
+//! stages inputs, and executes each
 //! reaction as a linear-time constructive simulation of the circuit — the
 //! least-fixpoint evaluation in Scott's ternary logic {⊥, 0, 1}. Nets
 //! stabilize through a FIFO of determination/resolution events; attached
@@ -14,10 +16,11 @@
 use crate::causality::analyze;
 use crate::env::{AtomView, EnvView};
 use crate::error::RuntimeError;
+use crate::image::ProgramImage;
 use crate::levelized::{
-    Block, EngineMode, HybridSchedule, LevelSchedule, PackedStates, CODE_AND, CODE_AND_EARLY,
-    CODE_AND_LATE, CODE_CONST0, CODE_CONST1, CODE_INPUT, CODE_OR, CODE_OR_EARLY, CODE_OR_LATE,
-    CODE_REG, CODE_TEST,
+    Block, EngineMode, LevelSchedule, PackedStates, CODE_AND, CODE_AND_EARLY, CODE_AND_LATE,
+    CODE_CONST0, CODE_CONST1, CODE_INPUT, CODE_OR, CODE_OR_EARLY, CODE_OR_LATE, CODE_REG,
+    CODE_TEST,
 };
 use crate::isolate::guarded;
 use crate::telemetry::{
@@ -26,10 +29,9 @@ use crate::telemetry::{
 use hiphop_circuit::{Action, AsyncId, Circuit, NetId, NetKind, SignalId, TestKind};
 use hiphop_core::ast::{AsyncCtx, AtomBody};
 use crate::snapshot::{
-    circuit_struct_hash, engine_from_tag, engine_tag, AsyncSnapshot, ChaosSnapshot,
-    MachineSnapshot, SnapshotError,
+    engine_from_tag, engine_tag, AsyncSnapshot, ChaosSnapshot, MachineSnapshot, SnapshotError,
 };
-use crate::sparse::SparseState;
+use crate::sparse::{SparseState, SparseTables};
 use hiphop_core::mailbox::{AsyncHandle, MachineOp, Mailbox};
 use hiphop_core::rng::Rng;
 use hiphop_core::value::Value;
@@ -38,7 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
 
-/// Per-net evaluation strategy, precomputed at machine construction.
+/// Per-net evaluation strategy, precomputed once per program image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Class {
     /// Const / Input / RegOut: determined at reaction start.
@@ -61,9 +63,9 @@ pub(crate) enum Class {
 /// One output signal's snapshot after a reaction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutputEvent {
-    /// Signal name. Interned per machine (`Arc<str>`): a reaction is
-    /// built — and cloned on its way through the session pool — once per
-    /// session per instant, so the names must not re-allocate each time.
+    /// Signal name. Interned once per program image (`Arc<str>`): a
+    /// reaction is built once per session per instant, so the names must
+    /// not re-allocate each time.
     pub name: std::sync::Arc<str>,
     /// Present this instant.
     pub present: bool,
@@ -140,13 +142,16 @@ struct Chaos {
 
 /// A running reactive machine.
 ///
+/// A machine is its *instance state* over a shared program image
+/// (`crate::image`): the circuit and every schedule derived from it are
+/// built once per circuit body per thread, so `Machine::new` on a clone
+/// of an already-running circuit allocates only the state below.
+///
 /// Fields the cohort engine (`crate::cohort`) touches are `pub(crate)`:
 /// the cohort sweep executes each lane's begin/commit phases out-of-line
 /// while the shared bit-parallel sweep owns the pure gates.
 pub struct Machine {
-    pub(crate) circuit: Rc<Circuit>,
-    class: Vec<Class>,
-    is_or: Vec<bool>,
+    pub(crate) image: Rc<ProgramImage>,
 
     // Persistent state.
     pub(crate) regs: Vec<bool>,
@@ -166,13 +171,19 @@ pub struct Machine {
     pub(crate) staged_inputs: Vec<(SignalId, Option<Value>)>,
     pub(crate) staged_notifies: Vec<(AsyncId, Value)>,
 
-    // Scratch (allocated once).
+    // Scratch (allocated once). The ⊥-bookkeeping planes `undet`,
+    // `deps_left` and `armed` are sized on the first reaction of an
+    // engine that needs them; the levelized sweep never does.
     pub(crate) value: Vec<i8>,
     undet: Vec<u32>,
     deps_left: Vec<u32>,
     armed: Vec<bool>,
     resolved: Vec<bool>,
     queue: VecDeque<Ev>,
+    // Per-reaction emission counters (combine checking) and input
+    // presence, reused across reactions.
+    emit_count: Vec<u32>,
+    input_present: Vec<bool>,
     pub(crate) events: usize,
     pub(crate) actions_run: usize,
     pub(crate) queue_hwm: usize,
@@ -191,12 +202,8 @@ pub struct Machine {
     pub(crate) poisoned: bool,
     chaos: Option<Chaos>,
 
-    // Engine selection: `schedule` exists iff the circuit is acyclic;
-    // `hybrid` always exists (non-constructive circuits are rejected at
-    // construction); `requested` is the user's explicit choice (`None` =
-    // automatic).
-    pub(crate) schedule: Option<Rc<LevelSchedule>>,
-    hybrid: Rc<HybridSchedule>,
+    // Engine selection: the user's explicit choice (`None` = automatic),
+    // resolved against the image's schedules by `engine()`.
     pub(crate) requested: Option<EngineMode>,
     lv_state: PackedStates,
     // Dirty-set state of the sparse incremental engine; its baseline
@@ -211,25 +218,13 @@ pub struct Machine {
     // Per-block evaluation counts of the last hybrid reaction (scratch;
     // maintained only while level-activity accounting is armed).
     la_block_evals: Vec<u64>,
-
-    // Lazily built, per-circuit cohort execution plan (scatter lists for
-    // effectful nets); see `crate::cohort`.
-    pub(crate) cohort_plan: Option<Rc<crate::cohort::CohortPlan>>,
-    // Memoized structural hash for `crate::cohort::cohort_key`: the
-    // schedule tables it digests are immutable after construction, so
-    // the hash is computed once (eligibility stays dynamic).
-    pub(crate) cohort_struct_key: std::cell::Cell<Option<u64>>,
-    // Output-direction interface signals as (signal index, interned
-    // name): every reaction snapshots them, so the names are interned
-    // once here instead of being re-allocated per instant.
-    pub(crate) out_signals: Rc<[(u32, std::sync::Arc<str>)]>,
 }
 
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
-            .field("program", &self.circuit.name)
-            .field("nets", &self.circuit.nets().len())
+            .field("program", &self.circuit().name)
+            .field("nets", &self.circuit().nets().len())
             .field("seq", &self.seq)
             .field("terminated", &self.terminated)
             .finish()
@@ -251,28 +246,9 @@ impl Machine {
     /// runs, with the same structured [`crate::CausalityReport`] a
     /// runtime deadlock would produce.
     pub fn new(circuit: Circuit) -> Result<Machine, RuntimeError> {
-        if !circuit.is_finalized() {
-            return Err(RuntimeError::UnfinalizedCircuit {
-                program: circuit.name.clone(),
-            });
-        }
+        let image = ProgramImage::for_circuit(circuit)?;
+        let circuit = &image.circuit;
         let n = circuit.nets().len();
-        let mut class = Vec::with_capacity(n);
-        let mut is_or = Vec::with_capacity(n);
-        for net in circuit.nets() {
-            is_or.push(!matches!(net.kind, NetKind::And));
-            let c = match &net.kind {
-                NetKind::Const(_) | NetKind::Input | NetKind::RegOut(_) => Class::Source,
-                NetKind::Test(_) => Class::Test,
-                NetKind::Or | NetKind::And => match net.action.map(|a| &circuit.actions()[a.index()]) {
-                    None => Class::Gate,
-                    Some(Action::Emit { .. }) | Some(Action::AsyncDone(_)) => Class::Early,
-                    Some(_) => Class::Late,
-                },
-            };
-            class.push(c);
-        }
-        let regs = circuit.registers().iter().map(|r| r.init).collect();
         let sig_val: Vec<Value> = circuit
             .signals()
             .iter()
@@ -288,45 +264,8 @@ impl Machine {
                 notified: None,
             })
             .collect();
-        let nsig = circuit.signals().len();
-        let out_signals: Rc<[(u32, std::sync::Arc<str>)]> = circuit
-            .signals()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.direction.is_output())
-            .map(|(i, s)| (i as u32, std::sync::Arc::from(s.name.as_str())))
-            .collect();
-        // Acyclicity analysis: precompute the dense level schedule when
-        // the combinational graph levelizes (the common case). Cyclic
-        // circuits run the static constructiveness analysis: provably
-        // non-constructive ones are rejected here — before any reaction —
-        // and the rest get an SCC-condensed hybrid schedule.
-        let schedule = LevelSchedule::build(&circuit, &class).map(Rc::new);
-        let hybrid = match &schedule {
-            Some(s) => Rc::new(HybridSchedule::acyclic(s.clone())),
-            None => {
-                let analysis = circuit.constructiveness();
-                if let Some(members) = analysis.first_non_constructive() {
-                    let mut stuck = vec![false; n];
-                    for m in members {
-                        stuck[m.index()] = true;
-                    }
-                    let report = analyze(&circuit, &stuck, members.len(), 0);
-                    return Err(RuntimeError::Causality {
-                        cycle: report.nets.clone(),
-                        undetermined: members.len(),
-                        report,
-                    });
-                }
-                Rc::new(HybridSchedule::cyclic(&circuit, &class, &analysis.condensation))
-            }
-        };
         Ok(Machine {
-            schedule,
-            hybrid,
-            class,
-            is_or,
-            regs,
+            regs: circuit.registers().iter().map(|r| r.init).collect(),
             sig_preval: sig_val.clone(),
             sig_val,
             vars: HashMap::new(),
@@ -337,15 +276,17 @@ impl Machine {
             next_instance: 0,
             terminated: false,
             seq: 0,
-            last_present: vec![false; nsig],
+            last_present: vec![false; circuit.signals().len()],
             staged_inputs: Vec::new(),
             staged_notifies: Vec::new(),
             value: vec![-1; n],
-            undet: vec![0; n],
-            deps_left: vec![0; n],
-            armed: vec![false; n],
+            undet: Vec::new(),
+            deps_left: Vec::new(),
+            armed: Vec::new(),
             resolved: vec![false; n],
             queue: VecDeque::new(),
+            emit_count: Vec::new(),
+            input_present: Vec::new(),
             events: 0,
             actions_run: 0,
             queue_hwm: 0,
@@ -364,10 +305,7 @@ impl Machine {
             level_activity: None,
             prev_value: Vec::new(),
             la_block_evals: Vec::new(),
-            cohort_plan: None,
-            cohort_struct_key: std::cell::Cell::new(None),
-            out_signals,
-            circuit: Rc::new(circuit),
+            image,
         })
     }
 
@@ -387,7 +325,7 @@ impl Machine {
     pub fn engine(&self) -> EngineMode {
         match self.requested {
             Some(EngineMode::Levelized) | None => {
-                if self.schedule.is_some() {
+                if self.image.schedule.is_some() {
                     EngineMode::Levelized
                 } else {
                     EngineMode::Hybrid
@@ -397,7 +335,7 @@ impl Machine {
             // circuits fall back to the hybrid engine (same rule as a
             // levelized request).
             Some(EngineMode::Sparse) => {
-                if self.schedule.is_some() {
+                if self.image.schedule.is_some() {
                     EngineMode::Sparse
                 } else {
                     EngineMode::Hybrid
@@ -410,7 +348,7 @@ impl Machine {
     /// Whether the circuit levelizes (acyclic combinational graph);
     /// reports `(levels, max_level_width)` of the dense schedule.
     pub fn levelization(&self) -> Option<(usize, usize)> {
-        self.schedule.as_ref().map(|s| (s.levels, s.max_width))
+        self.image.schedule.as_ref().map(|s| (s.levels, s.max_width))
     }
 
     /// Switches to the *naive* propagation engine: instead of the
@@ -425,7 +363,13 @@ impl Machine {
 
     /// The underlying circuit.
     pub fn circuit(&self) -> &Circuit {
-        &self.circuit
+        &self.image.circuit
+    }
+
+    /// Whether `self` and `other` run one shared program image (clones of
+    /// one circuit body, on one thread).
+    pub fn shares_image(&self, other: &Machine) -> bool {
+        Rc::ptr_eq(&self.image, &other.image)
     }
 
     /// The mailbox used by async activities; share it with your event
@@ -537,7 +481,7 @@ impl Machine {
 
     /// Presence of `name` at the last reaction.
     pub fn present(&self, name: &str) -> bool {
-        self.circuit
+        self.circuit()
             .signal_by_name(name)
             .map(|id| self.last_present[id.index()])
             .unwrap_or(false)
@@ -545,7 +489,7 @@ impl Machine {
 
     /// Current value of `name`.
     pub fn nowval(&self, name: &str) -> Value {
-        self.circuit
+        self.circuit()
             .signal_by_name(name)
             .map(|id| self.sig_val[id.index()].clone())
             .unwrap_or(Value::Null)
@@ -553,7 +497,7 @@ impl Machine {
 
     /// Previous-instant value of `name`.
     pub fn preval(&self, name: &str) -> Value {
-        self.circuit
+        self.circuit()
             .signal_by_name(name)
             .map(|id| self.sig_preval[id.index()].clone())
             .unwrap_or(Value::Null)
@@ -566,12 +510,12 @@ impl Machine {
     /// [`RuntimeError::UnknownSignal`] / [`RuntimeError::NotAnInput`].
     pub fn set_input(&mut self, name: &str, value: Option<Value>) -> Result<(), RuntimeError> {
         let id = self
-            .circuit
+            .circuit()
             .signal_by_name(name)
             .ok_or_else(|| RuntimeError::UnknownSignal {
                 signal: name.to_owned(),
             })?;
-        if !self.circuit.signal(id).direction.is_input() {
+        if !self.circuit().signal(id).direction.is_input() {
             return Err(RuntimeError::NotAnInput {
                 signal: name.to_owned(),
             });
@@ -614,15 +558,29 @@ impl Machine {
     /// messages already published to trace sinks, and the staged inputs
     /// of the failed reaction, which are consumed.
     pub fn react(&mut self) -> Result<Reaction, RuntimeError> {
+        let engine = self.engine();
+        // The dense engines copy every value into `sig_preval` up front,
+        // and that copy doubles as the value backup, so they roll back
+        // through the swap pair; the sparse engine syncs pre-values
+        // lazily and needs the full copy.
+        let swap_pair = engine != EngineMode::Sparse;
         if self.rollback {
-            self.take_snapshot();
+            if swap_pair {
+                self.take_snapshot_cohort();
+            } else {
+                self.take_snapshot();
+            }
         }
-        let result = self.react_core();
+        let result = self.react_core(engine);
         match &result {
             Ok(_) => self.poisoned = false,
             Err(_) => {
                 if self.rollback {
-                    self.restore_snapshot();
+                    if swap_pair {
+                        self.restore_snapshot_cohort();
+                    } else {
+                        self.restore_snapshot();
+                    }
                     self.poisoned = false;
                 } else {
                     self.poisoned = true;
@@ -694,14 +652,15 @@ impl Machine {
     /// structure and are not tallied; sparse reactions tally inline
     /// (skipped levels report 0, see `react_core_sparse`).
     fn tally_level_activity(&mut self, engine: EngineMode) {
+        let image = self.image.clone();
         let sched = match engine {
-            EngineMode::Levelized => self.schedule.clone(),
-            EngineMode::Hybrid => Some(self.hybrid.sched.clone()),
+            EngineMode::Levelized => image.schedule.as_ref(),
+            EngineMode::Hybrid => Some(&image.hybrid.sched),
             _ => None,
         };
         let Some(sched) = sched else { return };
         let Some(la) = &mut self.level_activity else { return };
-        let n = self.circuit.nets().len();
+        let n = image.circuit.nets().len();
         if self.prev_value.len() != n {
             self.prev_value = vec![-1; n];
         }
@@ -739,7 +698,7 @@ impl Machine {
         let mut s = String::new();
         let _ = write!(s, "regs:{:?};present:{:?};term:{};", self.regs, self.last_present, self.terminated);
         let _ = write!(s, "sig:[");
-        for (i, info) in self.circuit.signals().iter().enumerate() {
+        for (i, info) in self.circuit().signals().iter().enumerate() {
             let _ = write!(
                 s,
                 "{}={:?}/{:?},",
@@ -797,13 +756,13 @@ impl Machine {
         self.log.truncate(snap.log_len);
     }
 
-    /// Cohort-mode snapshot: same rollback point as
-    /// [`Machine::take_snapshot`] without its two `Vec<Value>` clones,
-    /// which dominate the cohort's per-lane fixed cost. The begin
-    /// phase's `sig_preval ← sig_val` copy doubles as the value backup
-    /// (nothing writes `sig_preval` during a sweep), and the old
-    /// pre-values are parked in the snapshot by swap instead of clone.
-    /// Must be called *before* that begin-phase copy.
+    /// Swap-pair snapshot, used by the cohort lanes and the scalar dense
+    /// engines: same rollback point as [`Machine::take_snapshot`]
+    /// without its two `Vec<Value>` clones. The begin phase's
+    /// `sig_preval ← sig_val` copy doubles as the value backup (nothing
+    /// writes `sig_preval` during a sweep), and the old pre-values are
+    /// parked in the snapshot by swap instead of clone. Must be called
+    /// *before* that begin-phase copy.
     pub(crate) fn take_snapshot_cohort(&mut self) {
         let snap = &mut self.snapshot;
         std::mem::swap(&mut snap.sig_preval, &mut self.sig_preval);
@@ -818,7 +777,7 @@ impl Machine {
         snap.log_len = self.log.len();
     }
 
-    /// Rolls a failed cohort lane back to the
+    /// Rolls a failed dense reaction or cohort lane back to the
     /// [`Machine::take_snapshot_cohort`] point — the machine ends up in
     /// the exact state [`Machine::restore_snapshot`] would produce.
     pub(crate) fn restore_snapshot_cohort(&mut self) {
@@ -856,8 +815,8 @@ impl Machine {
             .collect();
         vars.sort_by(|a, b| a.0.cmp(&b.0));
         MachineSnapshot {
-            program: self.circuit.name.clone(),
-            struct_hash: circuit_struct_hash(&self.circuit),
+            program: self.circuit().name.clone(),
+            struct_hash: self.image.struct_hash(),
             engine: self.requested.map(|m| engine_tag(m).to_owned()),
             regs: self.regs.clone(),
             sig_val: self.sig_val.clone(),
@@ -893,7 +852,7 @@ impl Machine {
 
     /// Overwrites this machine's persistent state with a durable
     /// snapshot. The machine must be compiled from a structurally
-    /// identical circuit — guarded by [`circuit_struct_hash`], so a
+    /// identical circuit — guarded by [`crate::circuit_struct_hash`], so a
     /// snapshot refuses to load into a different program. Staged inputs,
     /// staged notifications and queued mailbox operations are discarded:
     /// a restore lands exactly on a committed instant boundary.
@@ -904,11 +863,11 @@ impl Machine {
     /// [`SnapshotError::Malformed`] if the snapshot's state planes do
     /// not match the circuit's dimensions.
     pub fn restore(&mut self, snap: &MachineSnapshot) -> Result<(), SnapshotError> {
-        let expected = circuit_struct_hash(&self.circuit);
+        let expected = self.image.struct_hash();
         if snap.struct_hash != expected {
             return Err(SnapshotError::CircuitMismatch {
                 found: (snap.program.clone(), snap.struct_hash),
-                expected: (self.circuit.name.clone(), expected),
+                expected: (self.circuit().name.clone(), expected),
             });
         }
         if snap.regs.len() != self.regs.len()
@@ -971,9 +930,8 @@ impl Machine {
         ))
     }
 
-    fn react_core(&mut self) -> Result<Reaction, RuntimeError> {
-        let circuit = self.circuit.clone();
-        let engine = self.engine();
+    fn react_core(&mut self, engine: EngineMode) -> Result<Reaction, RuntimeError> {
+        let image = self.image.clone();
 
         // Telemetry: time the reaction only when someone is listening.
         let t0 = if self.sinks.is_empty() {
@@ -985,158 +943,18 @@ impl Machine {
         self.actions_run = 0;
         self.queue_hwm = 0;
         self.events = 0;
-        let n = circuit.nets().len();
 
-        let mut sparse_rebuild = false;
+        // Run the engine, then commit registers, presence and
+        // termination. The sparse engine commits through its deferred
+        // change records — a mid-sweep error must never have published
+        // register state (registers are excluded from the rollback
+        // snapshot).
         if engine == EngineMode::Sparse {
-            sparse_rebuild = self.sparse_react(&circuit)?;
+            let rebuild = self.sparse_react(&image)?;
+            self.sparse_commit(&image.circuit, rebuild);
         } else {
-        // Any non-sparse instant invalidates the sparse baseline — the
-        // shared `value` plane is about to be overwritten wholesale.
-        self.sparse.valid = false;
-
-        // Previous-instant values snapshot.
-        self.sig_preval.clone_from(&self.sig_val);
-
-        // Scratch reset. The levelized sweep needs no ⊥-bookkeeping: no
-        // queue, no undetermined-fanin or pending-dependency counters.
-        self.value[..n].fill(-1);
-        if engine != EngineMode::Levelized {
-            self.resolved[..n].fill(false);
-            self.armed[..n].fill(false);
-            self.queue.clear();
-            for (i, net) in circuit.nets().iter().enumerate() {
-                self.undet[i] = net.fanins.len() as u32;
-                self.deps_left[i] = net.deps.len() as u32;
-            }
-        }
-
-        // Per-reaction emission counters (for combine checking) live in
-        // last_present's shadow: use a local vector.
-        let mut emit_count = vec![0u32; circuit.signals().len()];
-
-        // Apply staged input values.
-        let staged = std::mem::take(&mut self.staged_inputs);
-        let mut input_present = vec![false; n];
-        for (sig, val) in &staged {
-            let info = circuit.signal(*sig);
-            if let Some(inet) = info.input_net {
-                input_present[inet.index()] = true;
-            }
-            if let Some(v) = val {
-                self.sig_val[sig.index()] = v.clone();
-                emit_count[sig.index()] = 1;
-            }
-        }
-        let notifies = std::mem::take(&mut self.staged_notifies);
-        for (aid, v) in notifies {
-            let rt = &mut self.asyncs[aid.index()];
-            rt.notified = Some(v);
-            input_present[circuit.asyncs()[aid.index()].notify_net.index()] = true;
-        }
-
-        if engine == EngineMode::Levelized {
-            // One dense sweep in topological level order; every net is
-            // determined by construction, so no constructive check.
-            self.levelized_fixpoint(&circuit, &input_present, &mut emit_count)?;
-        } else if engine == EngineMode::Hybrid {
-            // Dense sweeps over acyclic regions in condensation order;
-            // each nontrivial SCC iterates locally to its constructive
-            // fixpoint (with a per-SCC causality check).
-            self.hybrid_fixpoint(&circuit, &input_present, &mut emit_count)?;
-        } else {
-            // Determine sources.
-            for (i, net) in circuit.nets().iter().enumerate() {
-                let v = match net.kind {
-                    NetKind::Const(c) => c,
-                    NetKind::Input => input_present[i],
-                    NetKind::RegOut(r) => self.regs[r.index()],
-                    _ => continue,
-                };
-                self.value[i] = v as i8;
-                self.resolved[i] = true;
-                self.queue.push_back(Ev::Det(i as u32));
-                self.queue.push_back(Ev::Res(i as u32));
-            }
-            // Gates with no fanins are their neutral constant (an empty OR is
-            // 0, an empty AND is 1); they receive no feed, so settle them now.
-            for (i, net) in circuit.nets().iter().enumerate() {
-                if net.fanins.is_empty() && matches!(net.kind, NetKind::Or | NetKind::And) {
-                    let neutral = matches!(net.kind, NetKind::And);
-                    self.gate_value(&circuit, i as u32, neutral, &mut emit_count)?;
-                }
-            }
-
-            // Propagate to fixpoint.
-            if engine == EngineMode::Naive {
-                self.queue.clear();
-                self.naive_fixpoint(&circuit, &mut emit_count)?;
-            }
-            while let Some(ev) = self.queue.pop_front() {
-                self.events += 1;
-                // +1 counts the event just popped.
-                self.queue_hwm = self.queue_hwm.max(self.queue.len() + 1);
-                match ev {
-                    Ev::Det(i) => {
-                        let v = self.value[i as usize] == 1;
-                        if self.fine_events {
-                            self.emit_trace(TraceEvent::NetStabilized {
-                                net: i,
-                                label: circuit.nets()[i as usize].label,
-                                value: v,
-                            });
-                        }
-                        // Fanouts are (target, edge-polarity).
-                        for k in 0..circuit.fanouts(NetId(i)).len() {
-                            let (j, neg) = circuit.fanouts(NetId(i))[k];
-                            self.feed(&circuit, j.0, v ^ neg, &mut emit_count)?;
-                        }
-                    }
-                    Ev::Res(i) => {
-                        for k in 0..circuit.dep_fanouts(NetId(i)).len() {
-                            let d = circuit.dep_fanouts(NetId(i))[k].0;
-                            self.deps_left[d as usize] -= 1;
-                            if self.deps_left[d as usize] == 0
-                                && self.armed[d as usize]
-                                && !self.resolved[d as usize]
-                            {
-                                self.fire(&circuit, d, &mut emit_count)?;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Constructive check: everything must be determined and resolved.
-            let stuck: Vec<bool> = (0..n)
-                .map(|i| self.value[i] < 0 || !self.resolved[i])
-                .collect();
-            let undetermined = stuck.iter().filter(|&&b| b).count();
-            if undetermined > 0 {
-                let report = analyze(&circuit, &stuck, undetermined, self.seq);
-                if !self.sinks.is_empty() {
-                    self.emit_trace(TraceEvent::CausalityFailure { report: &report });
-                }
-                return Err(RuntimeError::Causality {
-                    cycle: report.nets.clone(),
-                    undetermined,
-                    report,
-                });
-            }
-        }
-
-        if self.level_activity.is_some() {
-            self.tally_level_activity(engine);
-        }
-        } // end non-sparse branch
-
-        // Commit registers, presence and termination. The sparse engine
-        // goes through its deferred change records — a mid-sweep error
-        // must never have published register state (registers are
-        // excluded from the rollback snapshot).
-        if engine == EngineMode::Sparse {
-            self.sparse_commit(&circuit, sparse_rebuild);
-        } else {
+            self.dense_react(&image, engine)?;
+            let circuit = &image.circuit;
             for (r, reg) in circuit.registers().iter().enumerate() {
                 self.regs[r] = self.value[reg.input.index()] == 1;
             }
@@ -1150,8 +968,8 @@ impl Machine {
             }
         }
 
-        let outs = self.out_signals.clone();
-        let outputs = outs
+        let outputs = image
+            .out_signals
             .iter()
             .map(|(i, name)| OutputEvent {
                 name: name.clone(),
@@ -1181,11 +999,188 @@ impl Machine {
         if let Some(t) = &mut self.trace {
             t.push(reaction.clone());
         }
-        let listeners = self.listeners.clone();
-        for l in listeners {
-            l(&reaction);
+        for k in 0..self.listeners.len() {
+            let listener = self.listeners[k].clone();
+            listener(&reaction);
         }
         Ok(reaction)
+    }
+
+    /// Reaction body of every non-sparse engine, up to (not including)
+    /// the register commit: pre-value sync, scratch reset, input
+    /// staging, then the engine's sweep or propagation.
+    fn dense_react(&mut self, image: &ProgramImage, engine: EngineMode) -> Result<(), RuntimeError> {
+        let circuit = &image.circuit;
+        let n = circuit.nets().len();
+        // Any non-sparse instant invalidates the sparse baseline — the
+        // shared `value` plane is about to be overwritten wholesale.
+        self.sparse.valid = false;
+
+        // Previous-instant values snapshot.
+        self.sig_preval.clone_from(&self.sig_val);
+
+        // Scratch reset. The levelized sweep needs no ⊥-bookkeeping: no
+        // queue, no undetermined-fanin or pending-dependency counters.
+        self.value[..n].fill(-1);
+        if engine != EngineMode::Levelized {
+            if self.undet.len() != n {
+                self.undet = vec![0; n];
+                self.deps_left = vec![0; n];
+                self.armed = vec![false; n];
+            }
+            self.resolved[..n].fill(false);
+            self.armed[..n].fill(false);
+            self.queue.clear();
+            for (i, net) in circuit.nets().iter().enumerate() {
+                self.undet[i] = net.fanins.len() as u32;
+                self.deps_left[i] = net.deps.len() as u32;
+            }
+        }
+
+        let mut emit_count = std::mem::take(&mut self.emit_count);
+        emit_count.clear();
+        emit_count.resize(circuit.signals().len(), 0);
+        let mut input_present = std::mem::take(&mut self.input_present);
+        input_present.clear();
+        input_present.resize(n, false);
+
+        // Apply staged input values (the staging buffers keep their
+        // capacity for the next instant).
+        let mut staged = std::mem::take(&mut self.staged_inputs);
+        for (sig, val) in staged.drain(..) {
+            let info = circuit.signal(sig);
+            if let Some(inet) = info.input_net {
+                input_present[inet.index()] = true;
+            }
+            if let Some(v) = val {
+                self.sig_val[sig.index()] = v;
+                emit_count[sig.index()] = 1;
+            }
+        }
+        self.staged_inputs = staged;
+        let mut notifies = std::mem::take(&mut self.staged_notifies);
+        for (aid, v) in notifies.drain(..) {
+            self.asyncs[aid.index()].notified = Some(v);
+            input_present[circuit.asyncs()[aid.index()].notify_net.index()] = true;
+        }
+        self.staged_notifies = notifies;
+
+        let result = match engine {
+            // One dense sweep in topological level order; every net is
+            // determined by construction, so no constructive check.
+            EngineMode::Levelized => {
+                let sched = image
+                    .schedule
+                    .as_ref()
+                    .expect("levelized engine without a schedule");
+                self.levelized_fixpoint(circuit, sched, &input_present, &mut emit_count)
+            }
+            // Dense sweeps over acyclic regions in condensation order;
+            // each nontrivial SCC iterates locally to its constructive
+            // fixpoint (with a per-SCC causality check).
+            EngineMode::Hybrid => {
+                self.hybrid_fixpoint(image, &input_present, &mut emit_count)
+            }
+            _ => self.constructive_fixpoint(circuit, engine, &input_present, &mut emit_count),
+        };
+        self.emit_count = emit_count;
+        self.input_present = input_present;
+        result?;
+
+        if self.level_activity.is_some() {
+            self.tally_level_activity(engine);
+        }
+        Ok(())
+    }
+
+    /// The constructive FIFO engine (and, with `engine ==
+    /// EngineMode::Naive`, the naive full-sweep reference): seeds the
+    /// sources, propagates to the least fixpoint, and reports a
+    /// causality error if any net is left undetermined or unresolved.
+    fn constructive_fixpoint(
+        &mut self,
+        circuit: &Circuit,
+        engine: EngineMode,
+        input_present: &[bool],
+        emit_count: &mut [u32],
+    ) -> Result<(), RuntimeError> {
+        let n = circuit.nets().len();
+        // Determine sources.
+        for (i, net) in circuit.nets().iter().enumerate() {
+            let v = match net.kind {
+                NetKind::Const(c) => c,
+                NetKind::Input => input_present[i],
+                NetKind::RegOut(r) => self.regs[r.index()],
+                _ => continue,
+            };
+            self.value[i] = v as i8;
+            self.resolved[i] = true;
+            self.queue.push_back(Ev::Det(i as u32));
+            self.queue.push_back(Ev::Res(i as u32));
+        }
+        // Gates with no fanins are their neutral constant (an empty OR is
+        // 0, an empty AND is 1); they receive no feed, so settle them now.
+        for (i, net) in circuit.nets().iter().enumerate() {
+            if net.fanins.is_empty() && matches!(net.kind, NetKind::Or | NetKind::And) {
+                let neutral = matches!(net.kind, NetKind::And);
+                self.gate_value(circuit, i as u32, neutral, emit_count)?;
+            }
+        }
+
+        // Propagate to fixpoint.
+        if engine == EngineMode::Naive {
+            self.queue.clear();
+            self.naive_fixpoint(circuit, emit_count)?;
+        }
+        while let Some(ev) = self.queue.pop_front() {
+            self.events += 1;
+            // +1 counts the event just popped.
+            self.queue_hwm = self.queue_hwm.max(self.queue.len() + 1);
+            match ev {
+                Ev::Det(i) => {
+                    let v = self.value[i as usize] == 1;
+                    if self.fine_events {
+                        self.emit_trace(TraceEvent::NetStabilized {
+                            net: i,
+                            label: circuit.nets()[i as usize].label,
+                            value: v,
+                        });
+                    }
+                    // Fanouts are (target, edge-polarity).
+                    for &(j, neg) in circuit.fanouts(NetId(i)) {
+                        self.feed(circuit, j.0, v ^ neg, emit_count)?;
+                    }
+                }
+                Ev::Res(i) => {
+                    for &NetId(d) in circuit.dep_fanouts(NetId(i)) {
+                        self.deps_left[d as usize] -= 1;
+                        if self.deps_left[d as usize] == 0
+                            && self.armed[d as usize]
+                            && !self.resolved[d as usize]
+                        {
+                            self.fire(circuit, d, emit_count)?;
+                        }
+                    }
+                }
+            }
+        }
+
+        // Constructive check: everything must be determined and resolved.
+        let is_stuck = |i: usize| self.value[i] < 0 || !self.resolved[i];
+        let undetermined = (0..n).filter(|&i| is_stuck(i)).count();
+        if undetermined > 0 {
+            let stuck: Vec<bool> = (0..n).map(is_stuck).collect();
+            let report = analyze(circuit, &stuck, undetermined, self.seq);
+            if !self.sinks.is_empty() {
+                self.emit_trace(TraceEvent::CausalityFailure { report: &report });
+            }
+            return Err(RuntimeError::Causality {
+                cycle: report.nets.clone(),
+                undetermined,
+                report,
+            });
+        }
+        Ok(())
     }
 
     /// Processes every queued mailbox operation, running one reaction per
@@ -1230,14 +1225,14 @@ impl Machine {
     /// counters and the log return to their initial configuration; the
     /// mailbox, listeners and reaction counter are kept.
     pub fn reset(&mut self) -> &mut Self {
-        let circuit = self.circuit.clone();
-        self.regs = circuit.registers().iter().map(|r| r.init).collect();
-        self.sig_val = circuit
-            .signals()
-            .iter()
-            .map(|s| s.init.clone().unwrap_or(Value::Null))
-            .collect();
-        self.sig_preval = self.sig_val.clone();
+        let circuit = &self.image.circuit;
+        for (reg, r) in self.regs.iter_mut().zip(circuit.registers()) {
+            *reg = r.init;
+        }
+        for (v, s) in self.sig_val.iter_mut().zip(circuit.signals()) {
+            *v = s.init.clone().unwrap_or(Value::Null);
+        }
+        self.sig_preval.clone_from(&self.sig_val);
         self.vars.clear();
         self.counters.fill(0.0);
         for rt in &mut self.asyncs {
@@ -1262,11 +1257,11 @@ impl Machine {
     /// state variables — made inspectable.
     pub fn selected(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for (i, reg) in self.circuit.registers().iter().enumerate() {
+        for (i, reg) in self.circuit().registers().iter().enumerate() {
             if !self.regs[i] || reg.label == "sig.pre" || reg.label == "boot" {
                 continue;
             }
-            let net = self.circuit.net(reg.output);
+            let net = self.circuit().net(reg.output);
             let loc = net.loc.to_string();
             if loc == "<builder>" {
                 out.push(reg.label.to_owned());
@@ -1282,8 +1277,8 @@ impl Machine {
     pub fn signals(
         &self,
     ) -> impl Iterator<Item = (String, hiphop_core::signal::Direction, bool, Value)> + '_ {
-        self.circuit
-            .clone()
+        self.image
+            .circuit
             .signals()
             .iter()
             .enumerate()
@@ -1296,8 +1291,6 @@ impl Machine {
                     self.sig_val[i].clone(),
                 )
             })
-            .collect::<Vec<_>>()
-            .into_iter()
     }
 
     /// Dynamic reconfiguration (paper §6: "HipHop.js is dynamic at
@@ -1316,8 +1309,8 @@ impl Machine {
     /// finalized; the running machine is left untouched.
     pub fn hot_swap(&mut self, circuit: Circuit) -> Result<&mut Self, RuntimeError> {
         let mut fresh = Machine::new(circuit)?;
-        for (i, info) in fresh.circuit.clone().signals().iter().enumerate() {
-            if let Some(old) = self.circuit.signal_by_name(&info.name) {
+        for (i, info) in fresh.image.clone().circuit.signals().iter().enumerate() {
+            if let Some(old) = self.circuit().signal_by_name(&info.name) {
                 fresh.sig_val[i] = self.sig_val[old.index()].clone();
                 fresh.sig_preval[i] = self.sig_preval[old.index()].clone();
             }
@@ -1333,11 +1326,10 @@ impl Machine {
         fresh.sinks = std::mem::take(&mut self.sinks);
         fresh.fine_events = self.fine_events;
         fresh.metrics = self.metrics.take();
-        // Carry the engine *request*, not the old resolution:
-        // `Machine::new` already rebuilt the levelized schedule for the
-        // new circuit (or found it cyclic), so the effective engine is
-        // re-resolved against the fresh acyclicity analysis rather than
-        // reusing a stale schedule.
+        // Carry the engine *request*, not the old resolution: the new
+        // circuit's program image has its own levelized schedule (or
+        // none, if cyclic), so the effective engine is re-resolved
+        // against it rather than reusing a stale schedule.
         fresh.requested = self.requested;
         fresh.rollback = self.rollback;
         fresh.chaos = self.chaos.take();
@@ -1359,19 +1351,16 @@ impl Machine {
     fn levelized_fixpoint(
         &mut self,
         circuit: &Circuit,
+        sched: &LevelSchedule,
         input_present: &[bool],
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
-        let sched = self
-            .schedule
-            .clone()
-            .expect("levelized engine without a schedule");
         // The packed states live outside `self` during the sweep so the
         // fold can read them while actions borrow `self` mutably.
         let mut state = std::mem::take(&mut self.lv_state);
         state.reset(circuit.nets().len());
         let end = sched.order.len();
-        let result = self.sweep_range(circuit, &sched, &mut state, input_present, emit_count, 0..end);
+        let result = self.sweep_range(circuit, sched, &mut state, input_present, emit_count, 0..end);
         self.lv_state = state;
         result
     }
@@ -1383,11 +1372,12 @@ impl Machine {
     /// ⊥-iteration.
     fn hybrid_fixpoint(
         &mut self,
-        circuit: &Circuit,
+        image: &ProgramImage,
         input_present: &[bool],
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
-        let hybrid = self.hybrid.clone();
+        let circuit = &image.circuit;
+        let hybrid = &image.hybrid;
         let mut state = std::mem::take(&mut self.lv_state);
         state.reset(circuit.nets().len());
         let armed = self.level_activity.is_some();
@@ -1449,7 +1439,7 @@ impl Machine {
         // SCCs may contain them; seed them like the FIFO engine does.
         for &id in members {
             let i = id as usize;
-            if self.class[i] == Class::Source {
+            if self.image.class[i] == Class::Source {
                 let v = match circuit.nets()[i].kind {
                     NetKind::Const(c) => c,
                     NetKind::Input => input_present[i],
@@ -1577,12 +1567,14 @@ impl Machine {
     /// sweep when the baseline is invalid), and leaves deferred commit
     /// records for [`Machine::sparse_commit`]. Returns whether this
     /// instant rebuilt the baseline.
-    fn sparse_react(&mut self, circuit: &Rc<Circuit>) -> Result<bool, RuntimeError> {
-        let sched = self
+    fn sparse_react(&mut self, image: &ProgramImage) -> Result<bool, RuntimeError> {
+        let circuit = &image.circuit;
+        let sched = image
             .schedule
-            .clone()
+            .as_ref()
             .expect("sparse engine without a schedule");
-        self.sparse.ensure_built(circuit, &sched);
+        let t = image.sparse();
+        self.sparse.ensure_allocated(circuit.nets().len(), t.levels);
         let rebuild = !self.sparse.valid;
         // Pessimistic: stays false until this instant commits, so any
         // error path (rollback restores the signal planes, but `value`
@@ -1608,7 +1600,8 @@ impl Machine {
             // Dense-equivalent prologue: full pre-value sync, zeroed
             // emission counters, cleared presence/hot/dirty bookkeeping.
             self.sig_preval.clone_from(&self.sig_val);
-            self.sparse.emit_count.fill(0);
+            self.emit_count.clear();
+            self.emit_count.resize(circuit.signals().len(), 0);
             self.sparse.touched.clear();
             self.sparse.in_present.fill(false);
             self.sparse.present_nets.clear();
@@ -1628,15 +1621,12 @@ impl Machine {
             for &s in &touched {
                 let si = s as usize;
                 if self.sig_val[si] != self.sig_preval[si] {
-                    for k in self.sparse.sig_subs_start[si] as usize
-                        ..self.sparse.sig_subs_start[si + 1] as usize
-                    {
-                        let sub = self.sparse.sig_subs[k];
-                        self.sparse.mark_dirty(sub);
+                    for &sub in &t.sig_subs[t.sig_subs_start[si] as usize..t.sig_subs_start[si + 1] as usize] {
+                        self.sparse.mark_dirty(t, sub);
                     }
-                    self.sig_preval[si] = self.sig_val[si].clone();
+                    self.sig_preval[si].clone_from(&self.sig_val[si]);
                 }
-                self.sparse.emit_count[si] = 0;
+                self.emit_count[si] = 0;
             }
             touched.clear();
             self.sparse.touched = touched;
@@ -1650,10 +1640,10 @@ impl Machine {
             let i = self.sparse.prev_present[k] as usize;
             self.sparse.in_present[i] = false;
         }
-        let staged = std::mem::take(&mut self.staged_inputs);
-        let mut emit_count = std::mem::take(&mut self.sparse.emit_count);
-        for (sig, val) in &staged {
-            let info = circuit.signal(*sig);
+        let mut staged = std::mem::take(&mut self.staged_inputs);
+        let mut emit_count = std::mem::take(&mut self.emit_count);
+        for (sig, val) in staged.drain(..) {
+            let info = circuit.signal(sig);
             if let Some(inet) = info.input_net {
                 if !self.sparse.in_present[inet.index()] {
                     self.sparse.in_present[inet.index()] = true;
@@ -1662,23 +1652,21 @@ impl Machine {
             }
             if let Some(v) = val {
                 let si = sig.index();
-                self.sig_val[si] = v.clone();
+                self.sig_val[si] = v;
                 emit_count[si] = 1;
                 self.sparse.touched.push(si as u32);
                 if !rebuild {
                     // The value plane changed outside any net: wake the
                     // subscribed readers.
-                    for k in self.sparse.sig_subs_start[si] as usize
-                        ..self.sparse.sig_subs_start[si + 1] as usize
-                    {
-                        let sub = self.sparse.sig_subs[k];
-                        self.sparse.mark_dirty(sub);
+                    for &sub in &t.sig_subs[t.sig_subs_start[si] as usize..t.sig_subs_start[si + 1] as usize] {
+                        self.sparse.mark_dirty(t, sub);
                     }
                 }
             }
         }
-        let notifies = std::mem::take(&mut self.staged_notifies);
-        for (aid, v) in notifies {
+        self.staged_inputs = staged;
+        let mut notifies = std::mem::take(&mut self.staged_notifies);
+        for (aid, v) in notifies.drain(..) {
             let rt = &mut self.asyncs[aid.index()];
             rt.notified = Some(v);
             let nn = circuit.asyncs()[aid.index()].notify_net;
@@ -1687,15 +1675,16 @@ impl Machine {
                 self.sparse.present_nets.push(nn.0);
             }
         }
+        self.staged_notifies = notifies;
 
         self.sparse.tracking = true;
         let result = if rebuild {
-            self.sparse_rebuild_sweep(circuit, &sched, &mut emit_count, armed)
+            self.sparse_rebuild_sweep(circuit, sched, t, &mut emit_count, armed)
         } else {
-            self.sparse_incremental_sweep(circuit, &sched, &mut emit_count, armed)
+            self.sparse_incremental_sweep(circuit, sched, t, &mut emit_count, armed)
         };
         self.sparse.tracking = false;
-        self.sparse.emit_count = emit_count;
+        self.emit_count = emit_count;
         self.sparse.prev_present.clear();
         result?;
         Ok(rebuild)
@@ -1708,17 +1697,17 @@ impl Machine {
         &mut self,
         circuit: &Circuit,
         sched: &LevelSchedule,
+        t: &SparseTables,
         emit_count: &mut [u32],
         armed: bool,
     ) -> Result<(), RuntimeError> {
-        for pos in 0..sched.order.len() {
-            let id = sched.order[pos];
+        for &id in &sched.order {
             let i = id as usize;
-            let v = self.sparse_eval_net(circuit, sched, id, emit_count)?;
+            let v = self.sparse_eval_net(circuit, sched, t, id, emit_count)?;
             let nv = v as i8;
             self.value[i] = nv;
             if armed {
-                let l = self.sparse.level_of[i] as usize;
+                let l = t.level_of[i] as usize;
                 self.sparse.level_evals[l] += 1;
                 if self.prev_value[i] != nv {
                     self.sparse.level_changed[l] += 1;
@@ -1740,6 +1729,7 @@ impl Machine {
         &mut self,
         circuit: &Circuit,
         sched: &LevelSchedule,
+        t: &SparseTables,
         emit_count: &mut [u32],
         armed: bool,
     ) -> Result<(), RuntimeError> {
@@ -1748,26 +1738,26 @@ impl Machine {
         for k in 0..self.sparse.prev_present.len() {
             let id = self.sparse.prev_present[k];
             if (self.sparse.in_present[id as usize] as i8) != self.value[id as usize] {
-                self.sparse.mark_dirty(id);
+                self.sparse.mark_dirty(t, id);
             }
         }
         for k in 0..self.sparse.present_nets.len() {
             let id = self.sparse.present_nets[k];
             if (self.sparse.in_present[id as usize] as i8) != self.value[id as usize] {
-                self.sparse.mark_dirty(id);
+                self.sparse.mark_dirty(t, id);
             }
         }
         // Seed: registers rewritten by the previous commit.
         for k in 0..self.sparse.pending_reg_nets.len() {
             let id = self.sparse.pending_reg_nets[k];
-            self.sparse.mark_dirty(id);
+            self.sparse.mark_dirty(t, id);
         }
         self.sparse.pending_reg_nets.clear();
         // Seed: the standing hot set (compacting lazily removed nets).
         let mut hot = std::mem::take(&mut self.sparse.hot);
         hot.retain(|&id| {
             if self.sparse.in_hot[id as usize] {
-                self.sparse.mark_dirty(id);
+                self.sparse.mark_dirty(t, id);
                 true
             } else {
                 false
@@ -1787,7 +1777,7 @@ impl Machine {
             for &id in &list {
                 let i = id as usize;
                 self.sparse.dirty[i] = false;
-                let v = self.sparse_eval_net(circuit, sched, id, emit_count)?;
+                let v = self.sparse_eval_net(circuit, sched, t, id, emit_count)?;
                 self.events += 1;
                 let nv = v as i8;
                 if armed {
@@ -1802,34 +1792,23 @@ impl Machine {
                     // Changed: wake value fanouts, dependency fanouts
                     // (expression readers) and pre-net subscribers —
                     // all at strictly higher levels.
-                    for k in 0..circuit.fanouts(NetId(id)).len() {
-                        let t = circuit.fanouts(NetId(id))[k].0;
-                        self.sparse.mark_dirty(t.0);
+                    for &(target, _) in circuit.fanouts(NetId(id)) {
+                        self.sparse.mark_dirty(t, target.0);
                     }
-                    for k in 0..circuit.dep_fanouts(NetId(id)).len() {
-                        let d = circuit.dep_fanouts(NetId(id))[k];
-                        self.sparse.mark_dirty(d.0);
+                    for &d in circuit.dep_fanouts(NetId(id)) {
+                        self.sparse.mark_dirty(t, d.0);
                     }
-                    for k in self.sparse.net_subs_start[i] as usize
-                        ..self.sparse.net_subs_start[i + 1] as usize
-                    {
-                        let sub = self.sparse.net_subs[k];
-                        self.sparse.mark_dirty(sub);
+                    let subs = t.net_subs_start[i] as usize..t.net_subs_start[i + 1] as usize;
+                    for &sub in &t.net_subs[subs] {
+                        self.sparse.mark_dirty(t, sub);
                     }
                     // Deferred commit records.
-                    for k in self.sparse.regs_by_input_start[i] as usize
-                        ..self.sparse.regs_by_input_start[i + 1] as usize
-                    {
-                        let r = self.sparse.regs_by_input[k];
-                        self.sparse.commit_regs.push(r);
-                    }
-                    for k in self.sparse.sigs_by_status_start[i] as usize
-                        ..self.sparse.sigs_by_status_start[i + 1] as usize
-                    {
-                        let s = self.sparse.sigs_by_status[k];
-                        self.sparse.commit_sigs.push(s);
-                    }
-                    if self.sparse.terminated_net == Some(id) {
+                    let regs = t.regs_by_input_start[i] as usize..t.regs_by_input_start[i + 1] as usize;
+                    self.sparse.commit_regs.extend_from_slice(&t.regs_by_input[regs]);
+                    let sigs =
+                        t.sigs_by_status_start[i] as usize..t.sigs_by_status_start[i + 1] as usize;
+                    self.sparse.commit_sigs.extend_from_slice(&t.sigs_by_status[sigs]);
+                    if t.terminated_net == Some(id) {
                         self.sparse.term_dirty = true;
                     }
                 }
@@ -1848,6 +1827,7 @@ impl Machine {
         &mut self,
         circuit: &Circuit,
         sched: &LevelSchedule,
+        t: &SparseTables,
         id: u32,
         emit_count: &mut [u32],
     ) -> Result<bool, RuntimeError> {
@@ -1865,14 +1845,14 @@ impl Machine {
                 // the dense sweep.
                 let edge = sched.fanins(i)[0];
                 let control = (self.value[(edge >> 1) as usize] == 1) ^ (edge & 1 == 1);
-                if self.sparse.needs_hot[i] {
+                if t.needs_hot[i] {
                     self.sparse.set_hot(id, control);
                 }
                 control && self.eval_test(circuit, id)
             }
             code @ (CODE_OR_EARLY | CODE_AND_EARLY) => {
                 let v = self.sparse_fold(sched, i, code == CODE_OR_EARLY);
-                if self.sparse.needs_hot[i] {
+                if t.needs_hot[i] {
                     self.sparse.set_hot(id, v);
                 }
                 if v {
@@ -1882,7 +1862,7 @@ impl Machine {
             }
             code @ (CODE_OR_LATE | CODE_AND_LATE) => {
                 let gate = self.sparse_fold(sched, i, code == CODE_OR_LATE);
-                if self.sparse.needs_hot[i] {
+                if t.needs_hot[i] {
                     self.sparse.set_hot(id, gate);
                 }
                 if gate {
@@ -2015,7 +1995,7 @@ impl Machine {
         let net = &circuit.nets()[i];
         let deps_ok = net.deps.iter().all(|d| self.resolved[d.index()]);
         let mut changed = false;
-        match self.class[i] {
+        match self.image.class[i] {
             Class::Source => {}
             Class::Test => {
                 let f = net.fanins[0];
@@ -2037,7 +2017,7 @@ impl Machine {
             }
             Class::Gate | Class::Early | Class::Late => {
                 // Ternary gate evaluation.
-                let controlling = self.is_or[i];
+                let controlling = self.image.is_or[i];
                 let mut any_controlling = false;
                 let mut all_known = true;
                 for f in &net.fanins {
@@ -2058,7 +2038,7 @@ impl Machine {
                 let Some(v) = value else {
                     return Ok(false);
                 };
-                match self.class[i] {
+                match self.image.class[i] {
                     Class::Gate => {
                         self.value[i] = v as i8;
                         self.resolved[i] = true;
@@ -2104,10 +2084,10 @@ impl Machine {
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
         let ji = j as usize;
-        if self.value[ji] != -1 || (self.armed[ji] && self.class[ji] != Class::Early) {
+        if self.value[ji] != -1 || (self.armed[ji] && self.image.class[ji] != Class::Early) {
             return Ok(());
         }
-        match self.class[ji] {
+        match self.image.class[ji] {
             Class::Source => Ok(()),
             Class::Test => {
                 if v {
@@ -2120,7 +2100,7 @@ impl Machine {
                 }
             }
             _ => {
-                let controlling = self.is_or[ji];
+                let controlling = self.image.is_or[ji];
                 if v == controlling {
                     self.gate_value(circuit, j, controlling, emit_count)
                 } else {
@@ -2143,7 +2123,7 @@ impl Machine {
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
         let ji = j as usize;
-        match self.class[ji] {
+        match self.image.class[ji] {
             Class::Gate => {
                 self.value[ji] = v as i8;
                 self.queue.push_back(Ev::Det(j));
@@ -2195,7 +2175,7 @@ impl Machine {
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
         let ji = j as usize;
-        match self.class[ji] {
+        match self.image.class[ji] {
             Class::Test => {
                 let v = self.eval_test(circuit, j);
                 self.value[ji] = v as i8;
@@ -2451,11 +2431,9 @@ impl Machine {
             // Sparse sweep in flight: remember the write for the lazy
             // pre-value sync and wake `nowval`/`preval` readers.
             self.sparse.touched.push(si as u32);
-            for k in self.sparse.sig_subs_start[si] as usize
-                ..self.sparse.sig_subs_start[si + 1] as usize
-            {
-                let sub = self.sparse.sig_subs[k];
-                self.sparse.mark_dirty(sub);
+            let t = self.image.sparse();
+            for &sub in &t.sig_subs[t.sig_subs_start[si] as usize..t.sig_subs_start[si + 1] as usize] {
+                self.sparse.mark_dirty(t, sub);
             }
         }
         Ok(())

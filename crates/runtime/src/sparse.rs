@@ -1,5 +1,6 @@
-//! Per-machine bookkeeping of the sparse incremental engine
-//! ([`crate::EngineMode::Sparse`]).
+//! Bookkeeping of the sparse incremental engine
+//! ([`crate::EngineMode::Sparse`]): the static [`SparseTables`], shared
+//! through the program image, and the per-machine [`SparseState`].
 //!
 //! The levelized engine re-evaluates every net of every level each
 //! instant; most real instants touch a handful of inputs. The sparse
@@ -42,37 +43,16 @@ use crate::levelized::LevelSchedule;
 use hiphop_circuit::{Circuit, NetKind, TestKind};
 use hiphop_core::expr::{Expr, SigAccess};
 
-/// Dirty-set state of the sparse engine. Lives on the machine but is
-/// only allocated once the sparse engine actually runs.
-#[derive(Debug, Default)]
-pub(crate) struct SparseState {
-    /// One-time tables built on the first sparse instant.
-    pub(crate) built: bool,
-    /// Whether `Machine::value` plus the derived sets below describe the
-    /// previous committed instant. Cleared at the start of every sparse
-    /// instant (so an error forces a rebuild) and by every non-sparse
-    /// instant, reset, restore and hot swap; set again only after a
-    /// sparse instant commits.
-    pub(crate) valid: bool,
+/// The sparse engine's static tables: pure functions of the circuit and
+/// its level schedule, built once per program image
+/// ([`crate::image::ProgramImage::sparse`]) and shared by every machine
+/// running the program.
+#[derive(Debug)]
+pub(crate) struct SparseTables {
     /// Topological level of each net (from the levelized schedule).
     pub(crate) level_of: Vec<u32>,
-    /// Committed presence of input/notify nets (mirror of the staged
-    /// set), maintained incrementally via `present_nets`.
-    pub(crate) in_present: Vec<bool>,
-    /// Nets whose `in_present` bit is currently set.
-    pub(crate) present_nets: Vec<u32>,
-    /// Scratch holding the *previous* instant's `present_nets` during
-    /// staging (buffer reuse; swapped, never reallocated).
-    pub(crate) prev_present: Vec<u32>,
-    /// Per-net dirty flag (deduplicates the level lists).
-    pub(crate) dirty: Vec<bool>,
-    /// Per-level dirty worklists; a level with an empty list is skipped
-    /// entirely by the sweep.
-    pub(crate) level_lists: Vec<Vec<u32>>,
-    /// The standing hot set (see the module docs); re-seeded into the
-    /// worklist every instant and compacted lazily via `in_hot`.
-    pub(crate) hot: Vec<u32>,
-    pub(crate) in_hot: Vec<bool>,
+    /// Number of topological levels.
+    pub(crate) levels: usize,
     /// Whether a net, when its gate/control is 1, must re-evaluate every
     /// instant: impure tests (counter mutation, var/host reads) and
     /// every action net — valued emits feed the emission counters,
@@ -91,9 +71,6 @@ pub(crate) struct SparseState {
     /// without any net changing, so writers mark these directly.
     pub(crate) sig_subs_start: Vec<u32>,
     pub(crate) sig_subs: Vec<u32>,
-    /// Register-output nets invalidated by the previous commit — their
-    /// baseline value predates the register write.
-    pub(crate) pending_reg_nets: Vec<u32>,
     /// CSR: register indices keyed by register-*input* net.
     pub(crate) regs_by_input_start: Vec<u32>,
     pub(crate) regs_by_input: Vec<u32>,
@@ -102,85 +79,39 @@ pub(crate) struct SparseState {
     pub(crate) sigs_by_status: Vec<u32>,
     /// The circuit's termination net, if any.
     pub(crate) terminated_net: Option<u32>,
-    /// Persistent per-signal emission counters (the dense engines
-    /// allocate a fresh vector per reaction); zeroed through `touched`.
-    pub(crate) emit_count: Vec<u32>,
-    /// Signals whose value/emission counter were written this instant —
-    /// the only pre-values to sync and counters to clear next instant.
-    pub(crate) touched: Vec<u32>,
-    /// Arms `touched` recording in `Machine::emit_value`. Only ever true
-    /// while a sparse sweep is running, so dense and cohort execution
-    /// never grow the list.
-    pub(crate) tracking: bool,
-    /// Deferred commit scratch: registers/signals whose source net
-    /// changed this instant (registers must not be written mid-sweep —
-    /// they are excluded from the rollback snapshot).
-    pub(crate) commit_regs: Vec<u32>,
-    pub(crate) commit_sigs: Vec<u32>,
-    pub(crate) term_dirty: bool,
-    /// Per-level activity of this instant (recorded only while
-    /// level-activity accounting is armed).
-    pub(crate) level_evals: Vec<u64>,
-    pub(crate) level_changed: Vec<u64>,
 }
 
-impl SparseState {
-    /// Builds the one-time tables: net→level, the register-by-input and
-    /// signal-by-status CSRs, and the capacity-bearing flag planes.
-    pub(crate) fn ensure_built(&mut self, circuit: &Circuit, sched: &LevelSchedule) {
-        if self.built {
-            return;
-        }
+impl SparseTables {
+    /// Builds net→level, the register-by-input and signal-by-status CSRs,
+    /// the hot-set classification and the subscriber lists.
+    pub(crate) fn build(circuit: &Circuit, sched: &LevelSchedule) -> SparseTables {
         let n = circuit.nets().len();
         let levels = sched.levels;
-        self.level_of = vec![0; n];
+        let mut level_of = vec![0; n];
         for l in 0..levels {
             let span =
                 &sched.order[sched.level_starts[l] as usize..sched.level_starts[l + 1] as usize];
             for &id in span {
-                self.level_of[id as usize] = l as u32;
+                level_of[id as usize] = l as u32;
             }
         }
-        self.in_present = vec![false; n];
-        self.dirty = vec![false; n];
-        self.in_hot = vec![false; n];
-        self.level_lists = (0..levels).map(|_| Vec::new()).collect();
 
         // CSR: registers by input net (two registers may share an input).
-        let mut count = vec![0u32; n + 1];
-        for reg in circuit.registers() {
-            count[reg.input.index() + 1] += 1;
-        }
-        for i in 0..n {
-            count[i + 1] += count[i];
-        }
-        let mut cur = count.clone();
-        let mut regs = vec![0u32; circuit.registers().len()];
-        for (r, reg) in circuit.registers().iter().enumerate() {
-            let c = &mut cur[reg.input.index()];
-            regs[*c as usize] = r as u32;
-            *c += 1;
-        }
-        self.regs_by_input_start = count;
-        self.regs_by_input = regs;
-
+        let mut reg_pairs: Vec<(u32, u32)> = circuit
+            .registers()
+            .iter()
+            .enumerate()
+            .map(|(r, reg)| (reg.input.0, r as u32))
+            .collect();
+        let (regs_by_input_start, regs_by_input) = csr_from_pairs(&mut reg_pairs, n);
         // CSR: signals by status net.
-        let mut count = vec![0u32; n + 1];
-        for info in circuit.signals() {
-            count[info.status_net.index() + 1] += 1;
-        }
-        for i in 0..n {
-            count[i + 1] += count[i];
-        }
-        let mut cur = count.clone();
-        let mut sigs = vec![0u32; circuit.signals().len()];
-        for (s, info) in circuit.signals().iter().enumerate() {
-            let c = &mut cur[info.status_net.index()];
-            sigs[*c as usize] = s as u32;
-            *c += 1;
-        }
-        self.sigs_by_status_start = count;
-        self.sigs_by_status = sigs;
+        let mut sig_status: Vec<(u32, u32)> = circuit
+            .signals()
+            .iter()
+            .enumerate()
+            .map(|(s, info)| (info.status_net.0, s as u32))
+            .collect();
+        let (sigs_by_status_start, sigs_by_status) = csr_from_pairs(&mut sig_status, n);
 
         // Hot-set classification and subscriber lists. A net is "hot"
         // when skipping it while its gate/control holds would lose a side
@@ -228,26 +159,94 @@ impl SparseState {
                 needs_hot[i] = true;
             }
         }
-        self.needs_hot = needs_hot;
-        let (starts, items) = csr_from_pairs(&mut net_pairs, n);
-        self.net_subs_start = starts;
-        self.net_subs = items;
-        let (starts, items) = csr_from_pairs(&mut sig_pairs, circuit.signals().len());
-        self.sig_subs_start = starts;
-        self.sig_subs = items;
+        let (net_subs_start, net_subs) = csr_from_pairs(&mut net_pairs, n);
+        let (sig_subs_start, sig_subs) = csr_from_pairs(&mut sig_pairs, circuit.signals().len());
+        SparseTables {
+            level_of,
+            levels,
+            needs_hot,
+            net_subs_start,
+            net_subs,
+            sig_subs_start,
+            sig_subs,
+            regs_by_input_start,
+            regs_by_input,
+            sigs_by_status_start,
+            sigs_by_status,
+            terminated_net: circuit.terminated_net.map(|t| t.0),
+        }
+    }
+}
 
-        self.terminated_net = circuit.terminated_net.map(|t| t.0);
-        self.emit_count = vec![0; circuit.signals().len()];
-        self.built = true;
+/// Per-machine dirty-set state of the sparse engine. Its planes are only
+/// allocated once the sparse engine actually runs on the machine.
+#[derive(Debug, Default)]
+pub(crate) struct SparseState {
+    /// Whether `Machine::value` plus the derived sets below describe the
+    /// previous committed instant. Cleared at the start of every sparse
+    /// instant (so an error forces a rebuild) and by every non-sparse
+    /// instant, reset, restore and hot swap; set again only after a
+    /// sparse instant commits.
+    pub(crate) valid: bool,
+    /// Committed presence of input/notify nets (mirror of the staged
+    /// set), maintained incrementally via `present_nets`.
+    pub(crate) in_present: Vec<bool>,
+    /// Nets whose `in_present` bit is currently set.
+    pub(crate) present_nets: Vec<u32>,
+    /// Scratch holding the *previous* instant's `present_nets` during
+    /// staging (buffer reuse; swapped, never reallocated).
+    pub(crate) prev_present: Vec<u32>,
+    /// Per-net dirty flag (deduplicates the level lists).
+    pub(crate) dirty: Vec<bool>,
+    /// Per-level dirty worklists; a level with an empty list is skipped
+    /// entirely by the sweep.
+    pub(crate) level_lists: Vec<Vec<u32>>,
+    /// The standing hot set (see the module docs); re-seeded into the
+    /// worklist every instant and compacted lazily via `in_hot`.
+    pub(crate) hot: Vec<u32>,
+    pub(crate) in_hot: Vec<bool>,
+    /// Register-output nets invalidated by the previous commit — their
+    /// baseline value predates the register write.
+    pub(crate) pending_reg_nets: Vec<u32>,
+    /// Signals whose value/emission counter were written this instant —
+    /// the only pre-values to sync and counters to clear next instant.
+    pub(crate) touched: Vec<u32>,
+    /// Arms `touched` recording in `Machine::emit_value`. Only ever true
+    /// while a sparse sweep is running, so dense and cohort execution
+    /// never grow the list.
+    pub(crate) tracking: bool,
+    /// Deferred commit scratch: registers/signals whose source net
+    /// changed this instant (registers must not be written mid-sweep —
+    /// they are excluded from the rollback snapshot).
+    pub(crate) commit_regs: Vec<u32>,
+    pub(crate) commit_sigs: Vec<u32>,
+    pub(crate) term_dirty: bool,
+    /// Per-level activity of this instant (recorded only while
+    /// level-activity accounting is armed).
+    pub(crate) level_evals: Vec<u64>,
+    pub(crate) level_changed: Vec<u64>,
+}
+
+impl SparseState {
+    /// Sizes the per-net and per-level planes on the first sparse
+    /// instant of this machine.
+    pub(crate) fn ensure_allocated(&mut self, n: usize, levels: usize) {
+        if self.dirty.len() == n {
+            return;
+        }
+        self.in_present = vec![false; n];
+        self.dirty = vec![false; n];
+        self.in_hot = vec![false; n];
+        self.level_lists = (0..levels).map(|_| Vec::new()).collect();
     }
 
     /// Adds net `id` to its level's worklist (idempotent).
     #[inline]
-    pub(crate) fn mark_dirty(&mut self, id: u32) {
+    pub(crate) fn mark_dirty(&mut self, t: &SparseTables, id: u32) {
         let i = id as usize;
         if !self.dirty[i] {
             self.dirty[i] = true;
-            self.level_lists[self.level_of[i] as usize].push(id);
+            self.level_lists[t.level_of[i] as usize].push(id);
         }
     }
 

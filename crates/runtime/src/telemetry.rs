@@ -357,20 +357,148 @@ impl Summary {
 pub const DURATION_BUCKETS_US: [f64; 10] =
     [10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0];
 
-/// Cumulative bucket counts (`le` semantics) over `samples_us`, one slot
-/// per [`DURATION_BUCKETS_US`] bound plus a trailing `+Inf` slot.
-/// Cumulative counts sum element-wise across shards.
-fn duration_hist(samples_us: &[f64]) -> Vec<u64> {
-    let mut hist = vec![0u64; DURATION_BUCKETS_US.len() + 1];
-    for &s in samples_us {
-        for (i, le) in DURATION_BUCKETS_US.iter().enumerate() {
-            if s <= *le {
-                hist[i] += 1;
+/// Index of the [`DURATION_BUCKETS_US`] bucket a duration falls in
+/// (`le` semantics), or `DURATION_BUCKETS_US.len()` for `+Inf`.
+fn duration_bucket(us: f64) -> usize {
+    DURATION_BUCKETS_US.partition_point(|le| us > *le)
+}
+
+/// Cumulative (`le`) counts from per-bucket counts; empty when no
+/// reaction was observed.
+fn cumulative(buckets: &[u64], reactions: usize) -> Vec<u64> {
+    if reactions == 0 {
+        return Vec::new();
+    }
+    buckets
+        .iter()
+        .scan(0, |acc, c| {
+            *acc += c;
+            Some(*acc)
+        })
+        .collect()
+}
+
+/// Sub-buckets per power of two in [`Histogram`]: 2^6, so a bucket's
+/// midpoint is within 1/128 of any value in it.
+const HIST_SUB_BITS: u32 = 6;
+const HIST_SUB: u64 = 1 << HIST_SUB_BITS;
+/// Buckets covering every `u64`: values below `2 * HIST_SUB` exactly,
+/// then `HIST_SUB` buckets for each of the remaining 57 powers of two.
+const HIST_BUCKETS: usize = ((64 - HIST_SUB_BITS as u64 + 1) * HIST_SUB) as usize;
+
+/// A fixed-size log-linear histogram over `u64` samples: exact below 128,
+/// and above that 64 linear sub-buckets per power of two. Count, sum,
+/// min and max are exact; percentiles read bucket midpoints and so are
+/// within 1/128 (< 1%) relative error of the exact interpolated
+/// percentile ([`Summary::of`] over the same samples). Its memory is
+/// fixed (about 30 KB, allocated on the first sample) however many
+/// samples it absorbs, and histograms merge exactly.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Histogram {
+    counts: Vec<u64>,
+    count: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+}
+
+impl Histogram {
+    fn bucket(v: u64) -> usize {
+        if v < 2 * HIST_SUB {
+            return v as usize;
+        }
+        let shift = 63 - v.leading_zeros() - HIST_SUB_BITS;
+        (HIST_SUB + u64::from(shift) * HIST_SUB + ((v >> shift) - HIST_SUB)) as usize
+    }
+
+    /// The midpoint of bucket `b`'s value range.
+    fn midpoint(b: usize) -> f64 {
+        let b = b as u64;
+        if b < 2 * HIST_SUB {
+            return b as f64;
+        }
+        let shift = (b - HIST_SUB) / HIST_SUB;
+        let lower = (HIST_SUB + (b - HIST_SUB) % HIST_SUB) << shift;
+        lower as f64 + ((1u64 << shift) - 1) as f64 / 2.0
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; HIST_BUCKETS];
+            self.min = v;
+            self.max = v;
+        }
+        self.counts[Histogram::bucket(v)] += 1;
+        self.count += 1;
+        self.sum += u128::from(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Adds every sample of `other`.
+    pub fn merge(&mut self, other: &Histogram) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = other.clone();
+            return;
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Number of samples.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Exact sum of the samples.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
+    /// The value at rank `rank` (0-based, ascending), to within the
+    /// bucket error and clamped to the exact extremes.
+    fn at_rank(&self, rank: u64) -> f64 {
+        let mut seen = 0;
+        for (b, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen > rank {
+                return Histogram::midpoint(b).clamp(self.min as f64, self.max as f64);
             }
         }
-        hist[DURATION_BUCKETS_US.len()] += 1;
+        self.max as f64
     }
-    hist
+
+    /// The five-number summary with every value multiplied by `scale`;
+    /// percentiles interpolate between closest ranks exactly as
+    /// [`Summary::of`] does.
+    pub fn summary(&self, scale: f64) -> Summary {
+        if self.count == 0 {
+            return Summary::default();
+        }
+        let pick = |q: f64| {
+            let pos = (self.count - 1) as f64 * q;
+            let lo = pos.floor();
+            let (a, b) = (self.at_rank(lo as u64), self.at_rank(pos.ceil() as u64));
+            a + (b - a) * (pos - lo)
+        };
+        Summary {
+            count: self.count as usize,
+            min: self.min as f64 * scale,
+            p50: pick(0.5) * scale,
+            p95: pick(0.95) * scale,
+            max: self.max as f64 * scale,
+            mean: self.sum as f64 / self.count as f64 * scale,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -425,14 +553,31 @@ impl LevelActivity {
 // ---------------------------------------------------------------------------
 // MetricsSink.
 
+/// Reaction durations [`MetricsSink`] keeps verbatim: the most recent
+/// ones, for [`MetricsSink::duration_samples_us`].
+pub const RECENT_DURATIONS: usize = 4096;
+
 /// Aggregating sink: per-reaction engine statistics, summarized with
 /// percentiles on demand.
+///
+/// Its memory is bounded however long it runs: each statistic goes into
+/// a fixed-size [`Histogram`] (exact count, sum, min, max and mean;
+/// percentiles within 1% relative error), the Prometheus duration
+/// buckets are counted exactly as each reaction is recorded, and only
+/// the last [`RECENT_DURATIONS`] durations are kept verbatim.
 #[derive(Debug, Default)]
 pub struct MetricsSink {
-    duration_ns: Vec<f64>,
-    events: Vec<f64>,
-    actions: Vec<f64>,
-    queue_hwm: Vec<f64>,
+    duration_ns: Histogram,
+    events: Histogram,
+    actions: Histogram,
+    queue_hwm: Histogram,
+    /// Non-cumulative counts per [`DURATION_BUCKETS_US`] bucket plus
+    /// `+Inf`.
+    duration_buckets: [u64; DURATION_BUCKETS_US.len() + 1],
+    /// Ring of the most recent durations (ns); `recent_next` is the
+    /// oldest slot once the ring is full.
+    recent_ns: Vec<u64>,
+    recent_next: usize,
     causality_failures: usize,
     logs: usize,
     async_events: usize,
@@ -481,32 +626,39 @@ impl MetricsSink {
     /// Total net events across all observed reactions (exact mirror of
     /// summing [`Reaction::events`]).
     pub fn total_events(&self) -> usize {
-        self.events.iter().sum::<f64>() as usize
+        self.events.sum() as usize
     }
 
     /// Number of committed reactions observed.
     pub fn reactions(&self) -> usize {
-        self.events.len()
+        self.events.count() as usize
     }
 
-    /// Reaction durations in microseconds, one sample per committed
-    /// reaction, in observation order. Session pools use this to compute
-    /// *exact* pooled percentiles across shards (merging per-shard
-    /// [`Summary`]s would be lossy).
+    /// The most recent reaction durations in microseconds (at most
+    /// [`RECENT_DURATIONS`]), oldest first. While fewer reactions have
+    /// been observed this is every duration in observation order, so a
+    /// suffix taken past an earlier call's length holds only the
+    /// reactions since then.
     pub fn duration_samples_us(&self) -> Vec<f64> {
-        self.duration_ns.iter().map(|ns| ns / 1e3).collect()
+        let (newer, older) = self.recent_ns.split_at(self.recent_next);
+        older.iter().chain(newer).map(|&ns| ns as f64 / 1e3).collect()
+    }
+
+    /// The reaction-duration histogram, in nanoseconds (session pools
+    /// merge the shards' histograms for pooled percentiles).
+    pub fn duration_histogram(&self) -> &Histogram {
+        &self.duration_ns
     }
 
     /// Computes the percentile snapshot.
     pub fn snapshot(&self) -> Metrics {
-        let us: Vec<f64> = self.duration_ns.iter().map(|ns| ns / 1e3).collect();
         Metrics {
-            reactions: self.events.len(),
-            duration_hist: duration_hist(&us),
-            duration_us: Summary::of(&us),
-            events: Summary::of(&self.events),
-            actions: Summary::of(&self.actions),
-            queue_hwm: Summary::of(&self.queue_hwm),
+            reactions: self.reactions(),
+            duration_hist: cumulative(&self.duration_buckets, self.reactions()),
+            duration_us: self.duration_ns.summary(1e-3),
+            events: self.events.summary(1.0),
+            actions: self.actions.summary(1.0),
+            queue_hwm: self.queue_hwm.summary(1.0),
             causality_failures: self.causality_failures,
             logs: self.logs,
             async_events: self.async_events,
@@ -521,10 +673,20 @@ impl TraceSink for MetricsSink {
     fn on_event(&mut self, event: &TraceEvent<'_>) {
         match event {
             TraceEvent::ReactionEnd { stats, .. } => {
-                self.duration_ns.push(stats.duration_ns as f64);
-                self.events.push(stats.events as f64);
-                self.actions.push(stats.actions as f64);
-                self.queue_hwm.push(stats.queue_hwm as f64);
+                self.duration_ns.record(stats.duration_ns);
+                self.events.record(stats.events as u64);
+                self.actions.record(stats.actions as u64);
+                self.queue_hwm.record(stats.queue_hwm as u64);
+                self.duration_buckets[duration_bucket(stats.duration_ns as f64 / 1e3)] += 1;
+                if self.recent_ns.capacity() == 0 {
+                    self.recent_ns.reserve_exact(RECENT_DURATIONS);
+                }
+                if self.recent_ns.len() < RECENT_DURATIONS {
+                    self.recent_ns.push(stats.duration_ns);
+                } else {
+                    self.recent_ns[self.recent_next] = stats.duration_ns;
+                    self.recent_next = (self.recent_next + 1) % RECENT_DURATIONS;
+                }
             }
             TraceEvent::CausalityFailure { .. } => self.causality_failures += 1,
             TraceEvent::Log { .. } => self.logs += 1,
@@ -589,9 +751,12 @@ pub struct ShardRollup {
     pub rollbacks: u64,
     /// The shard's [`MetricsSink`] snapshot.
     pub metrics: Metrics,
-    /// Raw per-reaction durations (µs) from the shard's sink, for exact
-    /// pooled percentiles.
+    /// The most recent per-reaction durations (µs) from the shard's
+    /// sink ([`MetricsSink::duration_samples_us`]).
     pub samples_us: Vec<f64>,
+    /// The shard sink's duration histogram (ns), merged across shards
+    /// for the pooled percentiles.
+    pub durations: Histogram,
     /// Per-level sweep activity summed over the shard's machines (empty
     /// unless the pool armed level-activity counters).
     pub level_activity: LevelActivity,
@@ -605,8 +770,9 @@ pub struct PoolMetrics {
     pub shards: usize,
     /// Per-shard roll-ups, by shard index.
     pub per_shard: Vec<ShardRollup>,
-    /// Pooled reaction-duration percentiles (exact, over every shard's
-    /// samples).
+    /// Pooled reaction-duration summary over every shard's merged
+    /// histogram: count, min, max and mean exact, percentiles within
+    /// [`Histogram`]'s 1% relative error.
     pub duration_us: Summary,
     /// Total committed reactions across the pool.
     pub reactions: usize,
@@ -641,22 +807,29 @@ impl PoolMetrics {
     /// `critical_path_us` and `ticks` are accumulated by the pool itself
     /// (they need per-tick timing, not end-of-run snapshots).
     pub fn from_shards(per_shard: Vec<ShardRollup>, critical_path_us: f64, ticks: u64) -> PoolMetrics {
-        let mut all = Vec::new();
+        let mut durations = Histogram::default();
+        let mut duration_hist: Vec<u64> = Vec::new();
         let mut reactions = 0;
         let mut rollbacks = 0;
         let mut level_activity = LevelActivity::default();
         for s in &per_shard {
-            all.extend_from_slice(&s.samples_us);
+            durations.merge(&s.durations);
+            if duration_hist.len() < s.metrics.duration_hist.len() {
+                duration_hist.resize(s.metrics.duration_hist.len(), 0);
+            }
+            for (a, b) in duration_hist.iter_mut().zip(&s.metrics.duration_hist) {
+                *a += b;
+            }
             reactions += s.metrics.reactions;
             rollbacks += s.rollbacks;
             level_activity.merge(&s.level_activity);
         }
         PoolMetrics {
             shards: per_shard.len(),
-            duration_us: Summary::of(&all),
-            duration_hist: duration_hist(&all),
+            duration_us: durations.summary(1e-3),
+            duration_hist,
             level_activity,
-            busy_us: all.iter().sum(),
+            busy_us: durations.sum() as f64 / 1e3,
             per_shard,
             reactions,
             rollbacks,
@@ -1427,6 +1600,105 @@ mod tests {
         // A single sample is every percentile.
         let one = Summary::of(&[7.0]);
         assert_eq!((one.p50, one.p95), (7.0, 7.0));
+    }
+
+    fn record(sink: &mut MetricsSink, reaction: &Reaction, duration_ns: u64, events: usize) {
+        sink.on_event(&TraceEvent::ReactionEnd {
+            reaction,
+            stats: ReactionStats {
+                duration_ns,
+                events,
+                actions: events / 3,
+                queue_hwm: 0,
+                engine: EngineMode::Levelized,
+            },
+        });
+    }
+
+    /// Heap bytes a sink owns: its histograms and the recent-duration
+    /// ring.
+    fn heap_bytes(sink: &MetricsSink) -> usize {
+        let hists = [&sink.duration_ns, &sink.events, &sink.actions, &sink.queue_hwm];
+        hists.iter().map(|h| h.counts.capacity() * 8).sum::<usize>()
+            + sink.recent_ns.capacity() * 8
+    }
+
+    fn empty_reaction() -> Reaction {
+        Reaction {
+            seq: 0,
+            outputs: Vec::new(),
+            terminated: false,
+            events: 0,
+        }
+    }
+
+    #[test]
+    fn metrics_sink_memory_is_fixed_across_a_million_reactions() {
+        let reaction = empty_reaction();
+        let mut sink = MetricsSink::new();
+        assert_eq!(heap_bytes(&sink), 0, "an idle sink owns nothing");
+        let mut rng = hiphop_core::rng::Rng::seed_from_u64(3);
+        record(&mut sink, &reaction, 1_000, 10);
+        let after_one = heap_bytes(&sink);
+        assert!(after_one > 0);
+        for _ in 0..1_000_000 {
+            let ns = rng.gen_range(0..50_000_000u64);
+            record(&mut sink, &reaction, ns, (ns % 20_000) as usize);
+        }
+        assert_eq!(heap_bytes(&sink), after_one);
+        assert_eq!(sink.reactions(), 1_000_001);
+        assert_eq!(sink.duration_samples_us().len(), RECENT_DURATIONS);
+    }
+
+    #[test]
+    fn metrics_sink_percentiles_stay_within_one_percent_of_exact() {
+        let reaction = empty_reaction();
+        let mut sink = MetricsSink::new();
+        let mut rng = hiphop_core::rng::Rng::seed_from_u64(7);
+        let mut durations_us = Vec::new();
+        let mut events = Vec::new();
+        for _ in 0..20_000 {
+            // Log-uniform durations from 100 ns to ~100 ms, plus small
+            // exact-range event counts.
+            let ns = (100.0 * 10f64.powf(rng.gen_f64() * 6.0)) as u64;
+            let ev = rng.gen_range(0..5_000u64) as usize;
+            record(&mut sink, &reaction, ns, ev);
+            durations_us.push(ns as f64 / 1e3);
+            events.push(ev as f64);
+        }
+        let m = sink.snapshot();
+        for (got, want) in [(m.duration_us, Summary::of(&durations_us)), (m.events, Summary::of(&events))] {
+            assert_eq!(got.count, want.count);
+            assert_eq!((got.min, got.max), (want.min, want.max));
+            assert!((got.mean - want.mean).abs() <= want.mean * 1e-12, "{got:?} vs {want:?}");
+            for (g, w) in [(got.p50, want.p50), (got.p95, want.p95)] {
+                assert!((g - w).abs() <= w * 0.01, "percentile {g} vs exact {w}");
+            }
+        }
+        // Prometheus buckets are counted exactly at record time.
+        let exact: Vec<u64> = DURATION_BUCKETS_US
+            .iter()
+            .map(|le| durations_us.iter().filter(|&&d| d <= *le).count() as u64)
+            .chain([durations_us.len() as u64])
+            .collect();
+        assert_eq!(m.duration_hist, exact);
+        assert_eq!(sink.total_events(), events.iter().sum::<f64>() as usize);
+    }
+
+    #[test]
+    fn histograms_merge_exactly() {
+        let (mut a, mut b, mut both) = (Histogram::default(), Histogram::default(), Histogram::default());
+        for v in [0u64, 5, 127, 128, 129, 1 << 20, u64::MAX] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [3u64, 1 << 40, 77] {
+            b.record(v);
+            both.record(v);
+        }
+        a.merge(&b);
+        assert_eq!(a, both);
+        assert_eq!(Histogram::default().summary(1.0), Summary::default());
     }
 
     #[test]

@@ -192,9 +192,8 @@ type ShapeKey = (u32, u32, u32, u32);
 
 thread_local! {
     /// Per-shard-thread circuit cache: every session of a shard plays
-    /// the same generated score, so compile once per thread and clone
-    /// the circuit per machine (circuits are plain data; machines are
-    /// not).
+    /// the same generated score, so compile once per thread; machines
+    /// built from clones of the cached circuit share one program image.
     static CIRCUIT_CACHE: RefCell<Option<(ShapeKey, hiphop_circuit::Circuit)>> =
         const { RefCell::new(None) };
 }
@@ -210,21 +209,18 @@ fn shape_key(s: ScoreShape) -> ShapeKey {
 
 /// Builds one session's score machine (on the calling — shard — thread).
 fn build_machine(shape: ScoreShape, chaos_seed: u64, chaos_rate: f64) -> Result<Machine, String> {
-    let circuit = CIRCUIT_CACHE.with(|cache| -> Result<hiphop_circuit::Circuit, String> {
+    let mut machine = CIRCUIT_CACHE.with(|cache| -> Result<Machine, String> {
         let mut cache = cache.borrow_mut();
-        match &*cache {
-            Some((key, circuit)) if *key == shape_key(shape) => Ok(circuit.clone()),
-            _ => {
-                let (module, _comp) = generate(shape);
-                let registry = hiphop_core::module::ModuleRegistry::new();
-                let compiled = hiphop_compiler::compile_module(&module, &registry)
-                    .map_err(|e| e.to_string())?;
-                *cache = Some((shape_key(shape), compiled.circuit.clone()));
-                Ok(compiled.circuit)
-            }
+        if !matches!(&*cache, Some((key, _)) if *key == shape_key(shape)) {
+            let (module, _comp) = generate(shape);
+            let registry = hiphop_core::module::ModuleRegistry::new();
+            let compiled = hiphop_compiler::compile_module(&module, &registry)
+                .map_err(|e| e.to_string())?;
+            *cache = Some((shape_key(shape), compiled.circuit));
         }
+        let (_, circuit) = cache.as_ref().expect("compiled above");
+        Machine::new(circuit.clone()).map_err(|e| e.to_string())
     })?;
-    let mut machine = Machine::new(circuit).map_err(|e| e.to_string())?;
     if chaos_rate > 0.0 {
         machine.set_chaos(chaos_seed, chaos_rate);
     }
