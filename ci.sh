@@ -16,7 +16,7 @@ TOTAL=$(printf '%s\n' "$TEST_OUT" \
 echo "    workspace test count: $TOTAL"
 # Regression guard: the suite only ever grows. Raise the floor when
 # you add tests; never lower it.
-MIN_TESTS=572
+MIN_TESTS=576
 if [ "$TOTAL" -lt "$MIN_TESTS" ]; then
     echo "ci: workspace test count regressed below $MIN_TESTS (got $TOTAL)" >&2
     exit 1
@@ -58,14 +58,14 @@ done
 
 # Allocation gate: exact steady-state allocation counts under the test
 # binary's own counting global allocator (tests/alloc_gate.rs). A
-# levelized `react_with` allocates only the outputs vector it returns; a
+# default-engine `react_with` allocates only the outputs vector it returns; a
 # 1000-session pool's inject + tick stays at or below 1.1 allocations
 # per session-reaction.
 echo "==> allocation gate (counting allocator)"
 cargo test -q --offline --test alloc_gate
 
 # Widened cross-engine differential sweep: every generated program runs
-# under the levelized, constructive, naive, hybrid and sparse engines
+# under the levelized (block walker), constructive and sparse engines
 # plus the reference interpreter (tests/proptests.rs). Override the seed
 # count with HIPHOP_PROPTEST_SEEDS=N ./ci.sh.
 HIPHOP_PROPTEST_SEEDS="${HIPHOP_PROPTEST_SEEDS:-64}"
@@ -73,12 +73,21 @@ echo "==> differential proptest sweep (${HIPHOP_PROPTEST_SEEDS} seeds)"
 HIPHOP_PROPTEST_SEEDS="$HIPHOP_PROPTEST_SEEDS" \
     cargo test -q --offline --test proptests -- all_engines_agree_with_the_interpreter
 
+# Cyclic differential sweep: generated programs with a genuine
+# combinational cycle (hiphop_bench::cyclic_program) run under the block
+# walker, which iterates each SCC after resetting only its members, and
+# must match the constructive reference on every instant
+# (tests/proptests.rs). Same seed count as the sweep above.
+echo "==> cyclic differential sweep (${HIPHOP_PROPTEST_SEEDS} seeds, walker vs constructive)"
+HIPHOP_PROPTEST_SEEDS="$HIPHOP_PROPTEST_SEEDS" \
+    cargo test -q --offline --test proptests -- cyclic_programs_agree_with_the_constructive_reference
+
 # Fact-driven schedule-shrinking differential gate: with and without the
 # inter-instant dataflow shrink, generated programs must produce
-# identical observable traces under all five engines (tests/proptests.rs)
+# identical observable traces under all three engines (tests/proptests.rs)
 # and under both bit-parallel cohort widths (tests/cohort.rs). Any
 # unsound abstract-interpretation fact folds a live net and fails here.
-echo "==> fact-shrinking differential gate (5 engines + both cohort widths)"
+echo "==> fact-shrinking differential gate (3 engines + both cohort widths)"
 cargo test -q --offline --test proptests -- fact_driven_shrinking_preserves_behavior_under_every_engine
 cargo test -q --offline --test cohort -- fact_shrunk_circuits_match_unshrunk_outputs_under_both_widths
 
@@ -104,9 +113,9 @@ HIPHOP_COHORT_SEEDS="$HIPHOP_COHORT_SEEDS" \
 
 # Esterel-kernel conformance battery: hand-written per-instant emission
 # oracles for abort/weakabort/suspend/every/traps/sustain/counted
-# await/reincarnation, each checked under all five engines AND the
+# await/reincarnation, each checked under all three engines AND the
 # reference interpreter (tests/conformance.rs).
-echo "==> Esterel-kernel conformance battery (5 engines + interpreter)"
+echo "==> Esterel-kernel conformance battery (3 engines + interpreter)"
 cargo test -q --offline --test conformance
 
 # Session-pool smoke: a deterministic 64-session / 4-shard serve run on

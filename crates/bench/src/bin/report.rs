@@ -218,8 +218,10 @@ fn main() {
     );
 
     // ------------------------------------------------------------------- E9
-    println!("\nE9 — hybrid vs constructive on a cyclic workload (640-stmt acyclic portion");
-    println!("in parallel with a token-ring arbiter SCC; the levelized engine is unavailable)");
+    println!("\nE9 — block walker vs constructive on a cyclic workload (640-stmt acyclic portion");
+    println!(
+        "in parallel with a token-ring arbiter SCC; the walker runs the SCC-condensed schedule)"
+    );
     println!(
         "{:<14} {:>10} {:>10} {:>10} {:>12}",
         "engine", "p50 (µs)", "p95 (µs)", "max (µs)", "events p50"
@@ -241,16 +243,13 @@ fn main() {
             .map(|r| r.metrics.duration_us.p50)
             .unwrap_or(f64::NAN)
     };
-    let speedup = p50(hiphop_runtime::EngineMode::Constructive)
-        / p50(hiphop_runtime::EngineMode::Hybrid);
+    let speedup =
+        p50(hiphop_runtime::EngineMode::Constructive) / p50(hiphop_runtime::EngineMode::Levelized);
     println!(
-        "hybrid speedup over constructive: {speedup:.2}× {}",
+        "walker speedup over constructive: {speedup:.2}× {}",
         if speedup >= 2.0 { "(≥ 2× target)" } else { "(UNDER 2× target)" }
     );
-    println!(
-        "acyclic regression check: E7's hybrid row runs the identical dense levelized"
-    );
-    println!("schedule, so the acyclic 640-stmt workload is unaffected by the new default.");
+    println!("acyclic check: E7's levelized row is the same walker over a single dense block.");
 
     // ------------------------------------------------------------------ E10
     println!("\nE10 — sharded session pool (one 640-stmt machine per session, batched ticks;");

@@ -163,7 +163,7 @@ fn gen_block(rng: &mut Rng, n_sigs: usize, budget: &mut i64, depth: usize) -> St
 /// of the requested size running in parallel with a small token-ring
 /// arbiter whose pass wires form a combinational cycle (the classic
 /// constructive-cycle benchmark). The acyclic portion dominates the net
-/// count, which is exactly the shape the hybrid engine exists for:
+/// count, which is exactly the shape the block walker's SCC blocks exist for:
 /// levelized sweeps everywhere, bounded constructive iteration inside
 /// the one small SCC. Inputs `i0..i2` double as the arbiter's request
 /// lines; grants come out on `g0..g2`.

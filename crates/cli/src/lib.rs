@@ -271,9 +271,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 // `serve` (every pooled session) and `replay` (the
                 // re-driven pool).
                 let name = it.next().ok_or_else(|| {
-                    fail(
-                        "--engine needs a mode (auto, levelized, constructive, naive, hybrid, sparse)",
-                    )
+                    fail("--engine needs a mode (auto, levelized, constructive, sparse)")
                 })?;
                 engine = match name.as_str() {
                     "auto" => None,
@@ -706,18 +704,18 @@ analyze flags:
                          from a previous `--format json` run); new
                          findings still report and still --deny
 engine selection (run, trace, oracle, serve and replay):
-  --engine auto          levelized when the circuit is acyclic, else
-                         hybrid (the default)
-  --engine levelized     dense topological sweep (falls back to hybrid
-                         on cyclic circuits)
+  --engine auto          the block walker, levelized (the default)
+  --engine levelized     the block walker: dense topological sweeps over
+                         acyclic regions, bounded constructive iteration
+                         inside the SCCs of a cyclic circuit
   --engine sparse        incremental dirty-set sweep: only nets reachable
                          from changed inputs and flipped registers are
-                         re-evaluated (falls back to hybrid on cyclic
-                         circuits); byte-identical to the dense engines
-  --engine hybrid        levelized sweeps over acyclic regions, bounded
-                         constructive iteration inside undecided SCCs
-  --engine constructive  FIFO event propagation with causality reports
-  --engine naive         O(nets²) reference fixpoint
+                         re-evaluated (falls back to levelized on cyclic
+                         circuits); byte-identical to the walker
+  --engine constructive  the paper's FIFO event propagation over the
+                         whole circuit, with causality reports
+  (`hybrid` and `naive` are accepted as older names of levelized and
+  constructive)
   under serve/replay the override applies to every pooled session
 telemetry flags (trace and oracle only):
   --metrics      print a per-reaction percentile table (duration, net
@@ -975,7 +973,10 @@ pub fn cmd_stats(source: &str, main: Option<&str>, optimize: bool) -> Result<Str
             let _ = writeln!(out, "engine   : levelized ({levels} topological levels)");
         }
         None => {
-            let _ = writeln!(out, "engine   : hybrid (combinational cycle)");
+            let _ = writeln!(
+                out,
+                "engine   : levelized (combinational cycle: SCC blocks)"
+            );
         }
     }
     let analysis = &compiled.analysis;
@@ -1509,8 +1510,12 @@ mod tests {
         assert_eq!(parse("auto").unwrap().engine, None);
         assert_eq!(parse("levelized").unwrap().engine, Some(EngineMode::Levelized));
         assert_eq!(parse("constructive").unwrap().engine, Some(EngineMode::Constructive));
-        assert_eq!(parse("naive").unwrap().engine, Some(EngineMode::Naive));
-        assert_eq!(parse("hybrid").unwrap().engine, Some(EngineMode::Hybrid));
+        // Older names of the walker and the constructive reference.
+        assert_eq!(parse("hybrid").unwrap().engine, Some(EngineMode::Levelized));
+        assert_eq!(
+            parse("naive").unwrap().engine,
+            Some(EngineMode::Constructive)
+        );
         assert_eq!(parse("sparse").unwrap().engine, Some(EngineMode::Sparse));
         assert!(parse("turbo").is_err());
         assert!(parse_args(&["trace".into(), "x.hh".into(), "--engine".into()]).is_err());
@@ -1540,8 +1545,13 @@ mod tests {
         let forced =
             build_machine_with(ABRO, None, true, Some(EngineMode::Constructive)).unwrap();
         assert_eq!(forced.engine(), EngineMode::Constructive);
-        let naive = build_machine_with(ABRO, None, true, Some(EngineMode::Naive)).unwrap();
-        assert_eq!(naive.engine(), EngineMode::Naive);
+        let cyclic = include_str!("../../../examples/hh/cyclic_arbiter.hh");
+        let walker = build_machine_with(cyclic, None, true, Some(EngineMode::Sparse)).unwrap();
+        assert_eq!(
+            walker.engine(),
+            EngineMode::Levelized,
+            "sparse falls back on a cycle"
+        );
         let sparse = build_machine_with(ABRO, None, true, Some(EngineMode::Sparse)).unwrap();
         assert_eq!(sparse.engine(), EngineMode::Sparse, "ABRO is acyclic");
     }
@@ -1552,8 +1562,6 @@ mod tests {
         for mode in [
             EngineMode::Levelized,
             EngineMode::Constructive,
-            EngineMode::Naive,
-            EngineMode::Hybrid,
             EngineMode::Sparse,
         ] {
             let out = cmd_trace_with(
@@ -1595,7 +1603,10 @@ mod tests {
             }
         "#;
         let stats = cmd_stats(cyclic, None, true).unwrap();
-        assert!(stats.contains("engine   : hybrid"), "{stats}");
+        assert!(
+            stats.contains("engine   : levelized (combinational cycle"),
+            "{stats}"
+        );
         assert!(stats.contains("sccs     : 1 cyclic (largest "), "{stats}");
         assert!(stats.contains("1 non-constructive"), "{stats}");
     }

@@ -178,8 +178,8 @@ pub struct CompiledProgram {
     /// Topological level count of the combinational graph when it is
     /// acyclic (`Some` exactly when `cycle_warnings == 0`): the depth of
     /// the runtime's dense levelized schedule. `None` means the circuit
-    /// has a static cycle and the machine uses the SCC-condensed hybrid
-    /// engine.
+    /// has a static cycle and the machine's block walker runs the
+    /// SCC-condensed schedule.
     pub levels: Option<usize>,
     /// The static constructiveness analysis: SCC condensation plus one
     /// verdict per nontrivial component. `Machine::new` rejects the

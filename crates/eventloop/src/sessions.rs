@@ -1222,8 +1222,8 @@ impl SessionPool {
     /// prove — so this is a performance knob: e.g.
     /// [`EngineMode::Sparse`] for wide pools of mostly-quiet sessions.
     /// Sessions whose circuit cannot run the requested engine (a cyclic
-    /// circuit under `Sparse` or `Levelized`) resolve to the nearest
-    /// capable one, exactly as [`Machine::set_engine`] does. A sparse
+    /// circuit under `Sparse`) resolve to the block walker, exactly as
+    /// [`Machine::set_engine`] does. A sparse
     /// session's incremental baseline is rebuilt on its first instant
     /// after the hop.
     ///
@@ -2263,8 +2263,6 @@ mod tests {
         for mode in [
             EngineMode::Levelized,
             EngineMode::Constructive,
-            EngineMode::Naive,
-            EngineMode::Hybrid,
             EngineMode::Sparse,
         ] {
             assert_eq!(baseline, run(Some(mode)), "{mode} override diverged");

@@ -8,8 +8,7 @@
 //! order. This module packs the per-session net states into a
 //! structure-of-arrays layout — one *row* of `u64` lane words per net,
 //! [`LANES_PER_WORD`] sessions per word, two bits per session (value bit
-//! at `2s`, determined bit at `2s+1`, mirroring
-//! [`crate::levelized::PackedStates`]' two-bit ternary encoding) — and
+//! at `2s`, determined bit at `2s+1`, a two-bit ternary encoding) — and
 //! evaluates each pure gate for the whole cohort with branch-free
 //! bitwise kernels derived from the existing [`LevelSchedule`] opcodes.
 //!
@@ -18,8 +17,8 @@
 //! draws. Those nets are executed per lane, in schedule order, against
 //! the lane's own [`Machine`]: the net's dependency values are
 //! *scattered* from the packed rows into the machine's scalar `value`
-//! array (⊥ for undetermined nets, exactly what the scalar sweep would
-//! show) and the existing `eval_test` / `run_action` paths run
+//! array (⊥ for undetermined nets; the scalar sweep has written every net
+//! the action may read by that point) and the existing `eval_test` / `run_action` paths run
 //! unchanged — same trace events, same chaos stream, same rollback. A
 //! lane whose action fails is *peeled*: its remaining effectful work is
 //! skipped for the instant (the scalar engine aborts its sweep the same
@@ -236,8 +235,8 @@ fn lane_bit(s: usize) -> u64 {
 
 /// Scatters the packed values of `list` into the lane machine's scalar
 /// `value` array, with the determined-bit guard: an undetermined net
-/// reads as ⊥ (−1), exactly what the scalar sweep would show at the
-/// same point in schedule order.
+/// reads as ⊥ (−1). Every net in `list` precedes the reader in schedule
+/// order, so the scalar sweep shows the same values at that point.
 fn scatter(m: &mut Machine, list: &[u32], rows: &[u64], w: usize, s: usize) {
     let word = lane_word(s);
     let shift = 2 * (s % LANES_PER_WORD);
@@ -485,8 +484,8 @@ pub fn react_cohort(
                         let m = &mut *lanes[s];
                         if plan.prefix[i] {
                             // Opaque async hook: materialize the full
-                            // swept prefix, the scalar engine's exact
-                            // observable state at this point.
+                            // swept prefix, every net the scalar walker
+                            // has written this instant at this point.
                             for &pid in &sched.order[..pos] {
                                 let p = pid as usize;
                                 let cell = rows[p * w + wi] >> (t & !1);

@@ -35,6 +35,12 @@ pub const FLIGHT_FORMAT_VERSION: u64 = 1;
 // ---------------------------------------------------------------------------
 // A minimal JSON parser (the encoder lives in `telemetry`).
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a hostile document (a
+/// journal or snapshot of nothing but `[`) would overflow the stack and
+/// abort the process; past the bound it returns an error instead.
+pub const JSON_MAX_DEPTH: usize = 512;
+
 /// A parsed JSON document. Numbers are `f64` (like the host [`Value`]);
 /// objects keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,9 +65,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A rendered message with the byte offset of the first error.
+    /// A rendered message with the byte offset of the first error —
+    /// including nesting deeper than [`JSON_MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { b: text.as_bytes(), pos: 0 };
+        let mut p = Parser {
+            b: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -148,6 +159,8 @@ impl Json {
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -159,8 +172,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.b.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == JSON_MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {JSON_MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if *c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),

@@ -1,5 +1,5 @@
-//! The levelized dense-array engine: topological-sweep evaluation for
-//! acyclic circuits.
+//! The engine selector ([`EngineMode`]) and the schedules of the block
+//! walker: topological-sweep evaluation with cycles kept apart.
 //!
 //! Classic Esterel compilers special-case the common acyclic case: when
 //! the combinational graph (gate fanins *plus* data-dependency edges)
@@ -11,13 +11,13 @@
 //! micro-scheduling: an action's data dependencies are dependency edges,
 //! so they sit below it in the order.
 //!
-//! This module holds the engine selector ([`EngineMode`]) and the dense
-//! schedule precomputed at machine construction ([`LevelSchedule`]): the
-//! level-grouped net order, per-net opcodes, and fanins flattened into
-//! one contiguous edge array. The sweep itself lives in
-//! `machine.rs::levelized_fixpoint`, operating over packed two-bit net
-//! states (one value bit, one determined bit — the latter only checked
-//! by debug assertions, since the order guarantees determinacy).
+//! A cyclic circuit is swept in its SCC condensation order instead
+//! ([`HybridSchedule`]): dense blocks of acyclic nets, and one cyclic
+//! block per strongly connected component, iterated to its local
+//! constructive fixpoint. An acyclic circuit is the special case of a
+//! single dense block over the level schedule, so one walker
+//! (`Machine::walk`) serves both; it reads every fanin from the
+//! machine's `value` plane, which the sweep itself writes in order.
 
 use crate::machine::Class;
 use hiphop_circuit::{Circuit, Condensation, NetKind};
@@ -28,47 +28,41 @@ use std::str::FromStr;
 /// The reaction-evaluation strategy of a [`crate::Machine`].
 ///
 /// All three engines implement the same constructive semantics and must
-/// agree on every reaction (the differential test battery checks this);
-/// they differ in how the least fixpoint is reached.
+/// agree on every reaction (the differential test battery checks this
+/// against the constructive reference and the `hiphop-interp`
+/// interpreter); they differ in how the least fixpoint is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
-    /// Dense level-ordered sweep, available only for statically acyclic
-    /// circuits (no queue, no ⊥-bookkeeping). Selected automatically
-    /// when the circuit levelizes.
+    /// The block walker, selected automatically: dense sweeps in
+    /// topological order over acyclic regions (no queue, no
+    /// ⊥-bookkeeping), and local constructive iteration inside each
+    /// strongly connected component of a cyclic circuit, with an
+    /// SCC-scoped causality check. An acyclic circuit is one dense block.
     Levelized,
     /// The constructive FIFO event engine (paper §5.2): linear-time
-    /// queue propagation in ternary logic, with causality-deadlock
-    /// reporting. The only engine able to run cyclic circuits.
+    /// queue propagation in ternary logic over the whole circuit, with
+    /// causality-deadlock reporting — the faithful reference the other
+    /// engines are checked against.
     #[default]
     Constructive,
-    /// The O(nets²) reference engine: full sweeps to fixpoint, used as
-    /// an independent oracle in the differential tests.
-    Naive,
-    /// SCC-condensed hybrid scheduling: acyclic regions run as dense
-    /// level-ordered sweeps while each undecided strongly connected
-    /// component iterates locally to its constructive fixpoint. Selected
-    /// automatically for cyclic circuits that pass the static
-    /// constructiveness analysis.
-    Hybrid,
-    /// Dirty-set incremental sweep over the levelized schedule: each
+    /// Dirty-set incremental sweep over the level schedule: each
     /// instant seeds a worklist from changed inputs, registers that
     /// flipped at the previous commit, and the standing "hot" set of
     /// side-effectful nets, then propagates through the CSR fanout
     /// tables in level order — untouched levels are skipped entirely.
     /// Byte-identical to [`EngineMode::Levelized`] (the differential
     /// battery proves it); available only for acyclic circuits and
-    /// falls back to the hybrid engine otherwise.
+    /// falls back to the block walker otherwise.
     Sparse,
 }
 
 impl EngineMode {
-    /// Lower-case name used in telemetry encodings and the CLI.
+    /// Lower-case name used in telemetry encodings, snapshots and the
+    /// CLI.
     pub fn name(self) -> &'static str {
         match self {
             EngineMode::Levelized => "levelized",
             EngineMode::Constructive => "constructive",
-            EngineMode::Naive => "naive",
-            EngineMode::Hybrid => "hybrid",
             EngineMode::Sparse => "sparse",
         }
     }
@@ -80,17 +74,19 @@ impl fmt::Display for EngineMode {
     }
 }
 
+/// The one mapping from engine names to modes. `hybrid` and `naive`
+/// name engines that were folded into the block walker and the
+/// constructive reference; they still parse, so command lines and
+/// durable snapshots that carry them keep working.
 impl FromStr for EngineMode {
     type Err = String;
     fn from_str(s: &str) -> Result<EngineMode, String> {
         match s {
-            "levelized" => Ok(EngineMode::Levelized),
-            "constructive" => Ok(EngineMode::Constructive),
-            "naive" => Ok(EngineMode::Naive),
-            "hybrid" => Ok(EngineMode::Hybrid),
+            "levelized" | "hybrid" => Ok(EngineMode::Levelized),
+            "constructive" | "naive" => Ok(EngineMode::Constructive),
             "sparse" => Ok(EngineMode::Sparse),
             other => Err(format!(
-                "unknown engine `{other}` (expected levelized, constructive, naive, hybrid or sparse)"
+                "unknown engine `{other}` (expected levelized, constructive or sparse)"
             )),
         }
     }
@@ -223,9 +219,10 @@ pub(crate) enum Block {
     Cyclic { start: u32, end: u32 },
 }
 
-/// The hybrid engine's schedule: a [`LevelSchedule`] whose order is the
-/// SCC condensation's topological order, partitioned into dense runs of
-/// singleton components and cyclic blocks (one per nontrivial SCC).
+/// The block walker's schedule: a [`LevelSchedule`] partitioned into
+/// dense runs and cyclic blocks. An acyclic circuit is one dense block;
+/// a cyclic circuit's order is its SCC condensation's topological order,
+/// with one cyclic block per nontrivial SCC.
 #[derive(Debug, Clone)]
 pub(crate) struct HybridSchedule {
     /// Dense per-net tables plus the condensation topological order.
@@ -236,7 +233,7 @@ pub(crate) struct HybridSchedule {
 
 impl HybridSchedule {
     /// Wraps an acyclic circuit's levelized schedule as one dense block,
-    /// sharing the allocation with the levelized engine.
+    /// sharing the allocation with the image's level schedule.
     pub(crate) fn acyclic(sched: Rc<LevelSchedule>) -> HybridSchedule {
         let end = sched.order.len() as u32;
         HybridSchedule {
@@ -246,16 +243,26 @@ impl HybridSchedule {
     }
 
     /// Builds the schedule for a cyclic circuit from its condensation:
-    /// the net order is the condensation topological order, maximal runs
-    /// of trivial components collapse into dense blocks, and each
-    /// nontrivial SCC becomes one cyclic block.
+    /// the net order is the condensation topological order with every
+    /// source net moved to the front, maximal runs of trivial components
+    /// collapse into dense blocks, and each nontrivial SCC becomes one
+    /// cyclic block. Sources lead because a `pre(S)` read has no edge to
+    /// S's pre-register net (a source, so the move keeps the order
+    /// topological); the walker reads the value plane without clearing
+    /// it, so the source must be swept before its readers.
     pub(crate) fn cyclic(circuit: &Circuit, class: &[Class], cond: &Condensation) -> HybridSchedule {
-        let order: Vec<u32> = cond.topo_order().iter().map(|id| id.0).collect();
+        let comps = 0..cond.comps() as u32;
+        let is_source = |c: &u32| {
+            !cond.is_nontrivial(*c) && class[cond.members(*c)[0].index()] == Class::Source
+        };
+        let mut order = Vec::with_capacity(circuit.nets().len());
         let mut blocks = Vec::new();
         let mut pos = 0u32;
         let mut dense_start = 0u32;
         let mut max_dense = 0usize;
-        for comp in 0..cond.comps() as u32 {
+        let sources = comps.clone().filter(is_source);
+        for comp in sources.chain(comps.filter(|c| !is_source(c))) {
+            order.extend(cond.members(comp).iter().map(|id| id.0));
             let len = cond.members(comp).len() as u32;
             if cond.is_nontrivial(comp) {
                 if pos > dense_start {
@@ -297,38 +304,6 @@ impl HybridSchedule {
     }
 }
 
-/// Packed two-bit net states: bit `2k` is the value of net `k`, bit
-/// `2k + 1` its determined flag (checked only by debug assertions — the
-/// topological order guarantees fanins are determined before use).
-#[derive(Debug, Default)]
-pub(crate) struct PackedStates {
-    words: Vec<u64>,
-}
-
-impl PackedStates {
-    /// Clears and resizes for `n` nets (all ⊥).
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(32), 0);
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, i: usize, v: bool) {
-        self.words[i >> 5] |= (0b10 | v as u64) << ((i & 31) * 2);
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> bool {
-        debug_assert!(self.is_determined(i), "net {i} read before determination");
-        (self.words[i >> 5] >> ((i & 31) * 2)) & 1 == 1
-    }
-
-    #[inline]
-    pub(crate) fn is_determined(&self, i: usize) -> bool {
-        (self.words[i >> 5] >> ((i & 31) * 2)) & 0b10 != 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,33 +313,14 @@ mod tests {
         for m in [
             EngineMode::Levelized,
             EngineMode::Constructive,
-            EngineMode::Naive,
-            EngineMode::Hybrid,
             EngineMode::Sparse,
         ] {
             assert_eq!(m.name().parse::<EngineMode>(), Ok(m));
             assert_eq!(m.to_string(), m.name());
         }
+        assert_eq!("hybrid".parse::<EngineMode>(), Ok(EngineMode::Levelized));
+        assert_eq!("naive".parse::<EngineMode>(), Ok(EngineMode::Constructive));
         assert!("queue".parse::<EngineMode>().is_err());
         assert_eq!(EngineMode::default(), EngineMode::Constructive);
-    }
-
-    #[test]
-    fn packed_states_round_trip() {
-        let mut s = PackedStates::default();
-        s.reset(100);
-        for i in (0..100).step_by(3) {
-            s.set(i, i % 2 == 0);
-        }
-        for i in 0..100 {
-            if i % 3 == 0 {
-                assert!(s.is_determined(i));
-                assert_eq!(s.get(i), i % 2 == 0);
-            } else {
-                assert!(!s.is_determined(i));
-            }
-        }
-        s.reset(100);
-        assert!(!s.is_determined(0));
     }
 }

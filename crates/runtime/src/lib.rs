@@ -38,6 +38,7 @@
 
 pub mod causality;
 pub mod cohort;
+mod constructive;
 mod env;
 pub mod error;
 pub mod flight;

@@ -5,38 +5,41 @@
 //! the same circuit, see [`crate::image`]), holds the persistent state
 //! (registers, signal values, variables, counters, async instances),
 //! stages inputs, and executes each
-//! reaction as a linear-time constructive simulation of the circuit — the
-//! least-fixpoint evaluation in Scott's ternary logic {⊥, 0, 1}. Nets
-//! stabilize through a FIFO of determination/resolution events; attached
+//! reaction as a constructive simulation of the circuit — the
+//! least-fixpoint evaluation in Scott's ternary logic {⊥, 0, 1}. Attached
 //! actions run exactly when their net stabilizes to 1 and their data
 //! dependencies have resolved, which realizes the paper's
-//! micro-scheduling. If the queue drains with ⊥ nets remaining, the
-//! reaction fails with a reported causality cycle.
+//! micro-scheduling; a net left ⊥ is a reported causality cycle.
+//!
+//! The default engine is the block walker ([`EngineMode::Levelized`],
+//! `Machine::walk`): one pass over the program image's schedule in
+//! topological order, each cyclic block iterated to its local fixpoint.
+//! The sparse engine runs the same per-net evaluator over a dirty set
+//! (`crate::sparse`), and the constructive FIFO reference lives in
+//! `crate::constructive`.
 
 use crate::causality::analyze;
+use crate::constructive::ConstructiveScratch;
 use crate::env::{AtomView, EnvView};
 use crate::error::RuntimeError;
 use crate::image::ProgramImage;
 use crate::levelized::{
-    Block, EngineMode, LevelSchedule, PackedStates, CODE_AND, CODE_AND_EARLY, CODE_AND_LATE,
-    CODE_CONST0, CODE_CONST1, CODE_INPUT, CODE_OR, CODE_OR_EARLY, CODE_OR_LATE, CODE_REG,
-    CODE_TEST,
+    Block, EngineMode, LevelSchedule, CODE_AND, CODE_AND_EARLY, CODE_AND_LATE, CODE_CONST0,
+    CODE_CONST1, CODE_INPUT, CODE_OR, CODE_OR_EARLY, CODE_OR_LATE, CODE_REG, CODE_TEST,
 };
 use crate::isolate::guarded;
+use crate::snapshot::{AsyncSnapshot, ChaosSnapshot, MachineSnapshot, SnapshotError};
+use crate::sparse::{SparseState, SparseTables};
 use crate::telemetry::{
     AsyncPhase, LevelActivity, Metrics, MetricsSink, ReactionStats, SharedSink, SinkSet, TraceEvent,
 };
 use hiphop_circuit::{Action, AsyncId, Circuit, NetId, NetKind, SignalId, TestKind};
 use hiphop_core::ast::{AsyncCtx, AtomBody};
-use crate::snapshot::{
-    engine_from_tag, engine_tag, AsyncSnapshot, ChaosSnapshot, MachineSnapshot, SnapshotError,
-};
-use crate::sparse::{SparseState, SparseTables};
 use hiphop_core::mailbox::{AsyncHandle, MachineOp, Mailbox};
 use hiphop_core::rng::Rng;
 use hiphop_core::value::Value;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -110,12 +113,6 @@ pub(crate) struct AsyncRt {
     pub(crate) notified: Option<Value>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Det(u32),
-    Res(u32),
-}
-
 /// Pre-reaction copy of everything a failed reaction may have mutated
 /// before its first fallible step completed; buffers are reused across
 /// reactions so steady-state snapshotting allocates nothing. Registers,
@@ -171,19 +168,23 @@ pub struct Machine {
     pub(crate) staged_inputs: Vec<(SignalId, Option<Value>)>,
     pub(crate) staged_notifies: Vec<(AsyncId, Value)>,
 
-    // Scratch (allocated once). The ⊥-bookkeeping planes `undet`,
-    // `deps_left` and `armed` are sized on the first reaction of an
-    // engine that needs them; the levelized sweep never does.
+    // Scratch (allocated once). `value` is the per-net plane every
+    // engine evaluates into: the walker writes each net before any
+    // reader in schedule order, so it is never cleared wholesale.
+    // `resolved` exists only for cyclic circuits — the walker's SCC
+    // iteration resets it per member and leaves every other net settled.
     pub(crate) value: Vec<i8>,
-    undet: Vec<u32>,
-    deps_left: Vec<u32>,
-    armed: Vec<bool>,
     resolved: Vec<bool>,
-    queue: VecDeque<Ev>,
-    // Per-reaction emission counters (combine checking) and input
-    // presence, reused across reactions.
+    pub(crate) cx: ConstructiveScratch,
+    // Per-reaction emission counters (combine checking), reused.
     emit_count: Vec<u32>,
-    input_present: Vec<bool>,
+    // Presence of input/notify nets at the last staged instant: the
+    // plane, the nets whose bit is set (cleared one by one at the next
+    // staging), and the previous instant's list while the sparse engine
+    // seeds from it.
+    pub(crate) input_present: Vec<bool>,
+    present_nets: Vec<u32>,
+    prev_present: Vec<u32>,
     pub(crate) events: usize,
     pub(crate) actions_run: usize,
     pub(crate) queue_hwm: usize,
@@ -205,7 +206,6 @@ pub struct Machine {
     // Engine selection: the user's explicit choice (`None` = automatic),
     // resolved against the image's schedules by `engine()`.
     pub(crate) requested: Option<EngineMode>,
-    lv_state: PackedStates,
     // Dirty-set state of the sparse incremental engine; its baseline
     // validity flag is cleared by every non-sparse execution path.
     pub(crate) sparse: SparseState,
@@ -215,8 +215,8 @@ pub struct Machine {
     // the previous instant's net values as the flip baseline.
     pub(crate) level_activity: Option<LevelActivity>,
     prev_value: Vec<i8>,
-    // Per-block evaluation counts of the last hybrid reaction (scratch;
-    // maintained only while level-activity accounting is armed).
+    // Per-block evaluation counts of the last walk (scratch; maintained
+    // only while level-activity accounting is armed).
     la_block_evals: Vec<u64>,
 }
 
@@ -280,13 +280,16 @@ impl Machine {
             staged_inputs: Vec::new(),
             staged_notifies: Vec::new(),
             value: vec![-1; n],
-            undet: Vec::new(),
-            deps_left: Vec::new(),
-            armed: Vec::new(),
-            resolved: vec![false; n],
-            queue: VecDeque::new(),
+            resolved: if image.schedule.is_some() {
+                Vec::new()
+            } else {
+                vec![true; n]
+            },
+            cx: ConstructiveScratch::default(),
             emit_count: Vec::new(),
-            input_present: Vec::new(),
+            input_present: vec![false; n],
+            present_nets: Vec::new(),
+            prev_present: Vec::new(),
             events: 0,
             actions_run: 0,
             queue_hwm: 0,
@@ -300,7 +303,6 @@ impl Machine {
             poisoned: false,
             chaos: None,
             requested: None,
-            lv_state: PackedStates::default(),
             sparse: SparseState::default(),
             level_activity: None,
             prev_value: Vec::new(),
@@ -310,38 +312,23 @@ impl Machine {
     }
 
     /// Requests an evaluation engine; returns the *effective* engine
-    /// (requesting [`EngineMode::Levelized`] on a cyclic circuit falls
-    /// back to the hybrid engine, which is also the automatic default
-    /// for cyclic circuits).
+    /// (requesting [`EngineMode::Sparse`] on a cyclic circuit falls back
+    /// to the block walker, [`EngineMode::Levelized`]).
     pub fn set_engine(&mut self, mode: EngineMode) -> EngineMode {
         self.requested = Some(mode);
         self.engine()
     }
 
     /// The engine the next reaction will use: the requested one
-    /// ([`Machine::set_engine`]), or — by default — [`EngineMode::Levelized`]
-    /// when the circuit is acyclic and [`EngineMode::Hybrid`] otherwise
-    /// (acyclic regions sweep densely, only cycles iterate).
+    /// ([`Machine::set_engine`]), or — by default — the block walker,
+    /// [`EngineMode::Levelized`] (acyclic regions sweep densely, only
+    /// cycles iterate).
     pub fn engine(&self) -> EngineMode {
         match self.requested {
-            Some(EngineMode::Levelized) | None => {
-                if self.image.schedule.is_some() {
-                    EngineMode::Levelized
-                } else {
-                    EngineMode::Hybrid
-                }
-            }
-            // The sparse sweep needs the acyclic level schedule; cyclic
-            // circuits fall back to the hybrid engine (same rule as a
-            // levelized request).
-            Some(EngineMode::Sparse) => {
-                if self.image.schedule.is_some() {
-                    EngineMode::Sparse
-                } else {
-                    EngineMode::Hybrid
-                }
-            }
+            // The sparse sweep needs the acyclic level schedule.
+            Some(EngineMode::Sparse) if self.image.schedule.is_none() => EngineMode::Levelized,
             Some(mode) => mode,
+            None => EngineMode::Levelized,
         }
     }
 
@@ -349,16 +336,6 @@ impl Machine {
     /// reports `(levels, max_level_width)` of the dense schedule.
     pub fn levelization(&self) -> Option<(usize, usize)> {
         self.image.schedule.as_ref().map(|s| (s.levels, s.max_width))
-    }
-
-    /// Switches to the *naive* propagation engine: instead of the
-    /// event-driven linear-time queue, each reaction repeatedly sweeps all
-    /// nets until a fixpoint. Same constructive semantics, O(nets²) worst
-    /// case — used as an independent reference implementation in the
-    /// differential property tests. Compatibility shim over
-    /// [`Machine::set_engine`]; `false` restores automatic selection.
-    pub fn set_naive(&mut self, naive: bool) {
-        self.requested = naive.then_some(EngineMode::Naive);
     }
 
     /// The underlying circuit.
@@ -623,11 +600,11 @@ impl Machine {
     }
 
     /// Arms per-level activity accounting: after every reaction run on
-    /// the levelized or hybrid engine, the sweep's per-level net counts
-    /// and value flips (vs. the previous instant) accumulate into a
-    /// [`LevelActivity`]. Quantifies the "wide-but-quiet" sweep waste
-    /// the sparse-incremental roadmap item targets; costs one extra
-    /// byte-vector compare per reaction, so it is off by default.
+    /// the block walker or the sparse engine, the sweep's per-level net
+    /// counts and value flips (vs. the previous instant) accumulate into
+    /// a [`LevelActivity`]. Quantifies the "wide-but-quiet" sweep waste
+    /// the sparse engine skips; costs one extra byte-vector compare per
+    /// reaction, so it is off by default.
     pub fn enable_level_activity(&mut self) {
         if self.level_activity.is_none() {
             self.level_activity = Some(LevelActivity::default());
@@ -640,26 +617,23 @@ impl Machine {
         self.level_activity.as_ref()
     }
 
-    /// Buckets this reaction's sweep by topological level (hybrid:
-    /// condensation block). `evals` counts nets *actually evaluated* —
-    /// the levelized sweep visits every net of every level, while the
-    /// hybrid engine's cyclic blocks iterate their members several times
-    /// (tallied from the engine's own event counter, so a block's bucket
-    /// reports exactly the work done in it, not its span width).
+    /// Buckets the last walk by the schedule's levels (on a cyclic
+    /// circuit, one level per block). `evals` counts nets *actually
+    /// evaluated*: a dense block evaluates each net of its span once,
+    /// booked to the net's level, while a cyclic block iterates its
+    /// members several times and books the walker's measured count to
+    /// its own level, so the buckets sum to the reaction's `events`.
     /// `changed` counts nets whose committed value differs from the
     /// previous instant — the gap between the two is the quiet width the
-    /// sparse engine skips. Constructive/naive reactions have no level
-    /// structure and are not tallied; sparse reactions tally inline
-    /// (skipped levels report 0, see `react_core_sparse`).
-    fn tally_level_activity(&mut self, engine: EngineMode) {
+    /// sparse engine skips. Constructive reactions have no level
+    /// structure and are not tallied; sparse incremental instants tally
+    /// inline (skipped levels report 0, see `sparse_incremental_sweep`).
+    fn tally_level_activity(&mut self) {
         let image = self.image.clone();
-        let sched = match engine {
-            EngineMode::Levelized => image.schedule.as_ref(),
-            EngineMode::Hybrid => Some(&image.hybrid.sched),
-            _ => None,
+        let Some(la) = &mut self.level_activity else {
+            return;
         };
-        let Some(sched) = sched else { return };
-        let Some(la) = &mut self.level_activity else { return };
+        let sched = &image.hybrid.sched;
         let n = image.circuit.nets().len();
         if self.prev_value.len() != n {
             self.prev_value = vec![-1; n];
@@ -670,15 +644,22 @@ impl Machine {
             la.evals.resize(levels, 0);
             la.changed.resize(levels, 0);
         }
+        let level_of = |pos: u32| starts.partition_point(|&s| s <= pos) - 1;
+        for (bi, block) in image.hybrid.blocks.iter().enumerate() {
+            match *block {
+                Block::Dense { start, end } => {
+                    for l in level_of(start)..levels {
+                        if starts[l] >= end {
+                            break;
+                        }
+                        la.evals[l] += (starts[l + 1].min(end) - starts[l].max(start)) as u64;
+                    }
+                }
+                Block::Cyclic { start, .. } => la.evals[level_of(start)] += self.la_block_evals[bi],
+            }
+        }
         for l in 0..levels {
             let span = &sched.order[starts[l] as usize..starts[l + 1] as usize];
-            // Hybrid blocks report their measured evaluation count
-            // (recorded by `hybrid_fixpoint`); dense levelized sweeps
-            // evaluate exactly their span.
-            la.evals[l] += match engine {
-                EngineMode::Hybrid => self.la_block_evals.get(l).copied().unwrap_or(0),
-                _ => span.len() as u64,
-            };
             la.changed[l] += span
                 .iter()
                 .filter(|&&id| self.value[id as usize] != self.prev_value[id as usize])
@@ -817,7 +798,7 @@ impl Machine {
         MachineSnapshot {
             program: self.circuit().name.clone(),
             struct_hash: self.image.struct_hash(),
-            engine: self.requested.map(|m| engine_tag(m).to_owned()),
+            engine: self.requested.map(|m| m.name().to_owned()),
             regs: self.regs.clone(),
             sig_val: self.sig_val.clone(),
             sig_preval: self.sig_preval.clone(),
@@ -883,9 +864,7 @@ impl Machine {
         }
         self.requested = match &snap.engine {
             None => None,
-            Some(tag) => Some(engine_from_tag(tag).ok_or_else(|| {
-                SnapshotError::Malformed(format!("unknown engine tag `{tag}`"))
-            })?),
+            Some(tag) => Some(tag.parse().map_err(SnapshotError::Malformed)?),
         };
         self.regs.clone_from(&snap.regs);
         self.sig_val.clone_from(&snap.sig_val);
@@ -945,27 +924,16 @@ impl Machine {
         self.events = 0;
 
         // Run the engine, then commit registers, presence and
-        // termination. The sparse engine commits through its deferred
-        // change records — a mid-sweep error must never have published
-        // register state (registers are excluded from the rollback
-        // snapshot).
+        // termination — only after the last fallible step, since
+        // registers are excluded from the rollback snapshot. An
+        // incremental sparse instant commits through its deferred change
+        // records.
         if engine == EngineMode::Sparse {
             let rebuild = self.sparse_react(&image)?;
             self.sparse_commit(&image.circuit, rebuild);
         } else {
             self.dense_react(&image, engine)?;
-            let circuit = &image.circuit;
-            for (r, reg) in circuit.registers().iter().enumerate() {
-                self.regs[r] = self.value[reg.input.index()] == 1;
-            }
-            for (s, info) in circuit.signals().iter().enumerate() {
-                self.last_present[s] = self.value[info.status_net.index()] == 1;
-            }
-            if let Some(t) = circuit.terminated_net {
-                if self.value[t.index()] == 1 {
-                    self.terminated = true;
-                }
-            }
+            self.commit_all(&image.circuit, false);
         }
 
         let outputs = image
@@ -1006,12 +974,11 @@ impl Machine {
         Ok(reaction)
     }
 
-    /// Reaction body of every non-sparse engine, up to (not including)
-    /// the register commit: pre-value sync, scratch reset, input
-    /// staging, then the engine's sweep or propagation.
+    /// Reaction body of the block walker and the constructive
+    /// reference, up to (not including) the register commit: pre-value
+    /// sync, input staging, then the engine's sweep or propagation.
     fn dense_react(&mut self, image: &ProgramImage, engine: EngineMode) -> Result<(), RuntimeError> {
         let circuit = &image.circuit;
-        let n = circuit.nets().len();
         // Any non-sparse instant invalidates the sparse baseline — the
         // shared `value` plane is about to be overwritten wholesale.
         self.sparse.valid = false;
@@ -1019,168 +986,105 @@ impl Machine {
         // Previous-instant values snapshot.
         self.sig_preval.clone_from(&self.sig_val);
 
-        // Scratch reset. The levelized sweep needs no ⊥-bookkeeping: no
-        // queue, no undetermined-fanin or pending-dependency counters.
-        self.value[..n].fill(-1);
-        if engine != EngineMode::Levelized {
-            if self.undet.len() != n {
-                self.undet = vec![0; n];
-                self.deps_left = vec![0; n];
-                self.armed = vec![false; n];
-            }
-            self.resolved[..n].fill(false);
-            self.armed[..n].fill(false);
-            self.queue.clear();
-            for (i, net) in circuit.nets().iter().enumerate() {
-                self.undet[i] = net.fanins.len() as u32;
-                self.deps_left[i] = net.deps.len() as u32;
-            }
-        }
-
         let mut emit_count = std::mem::take(&mut self.emit_count);
         emit_count.clear();
         emit_count.resize(circuit.signals().len(), 0);
-        let mut input_present = std::mem::take(&mut self.input_present);
-        input_present.clear();
-        input_present.resize(n, false);
+        self.stage_inputs(circuit, &mut emit_count, None);
+        self.prev_present.clear();
 
-        // Apply staged input values (the staging buffers keep their
-        // capacity for the next instant).
+        let result = if engine == EngineMode::Constructive {
+            self.constructive_fixpoint(circuit, &mut emit_count)
+        } else {
+            // No ⊥ reset: debug builds poison the plane so a read of a
+            // net not yet swept (a missing dependency edge) trips `EnvView`.
+            #[cfg(debug_assertions)]
+            self.value.fill(-1);
+            self.walk(image, &mut emit_count, None)
+        };
+        self.emit_count = emit_count;
+        result?;
+
+        if self.level_activity.is_some() && engine == EngineMode::Levelized {
+            self.tally_level_activity();
+        }
+        Ok(())
+    }
+
+    /// Applies the staged inputs and async notifications: writes their
+    /// values and emission counts and replaces the presence set — the
+    /// previous instant's nets are parked in `prev_present` for the
+    /// sparse engine's delta seeding. While a sparse sweep is tracking,
+    /// each value write is recorded for the lazy pre-value sync and, with
+    /// `wake`, wakes the signal's `nowval`/`preval` readers.
+    fn stage_inputs(
+        &mut self,
+        circuit: &Circuit,
+        emit_count: &mut [u32],
+        wake: Option<&SparseTables>,
+    ) {
+        debug_assert!(self.prev_present.is_empty());
+        std::mem::swap(&mut self.present_nets, &mut self.prev_present);
+        for &i in &self.prev_present {
+            self.input_present[i as usize] = false;
+        }
         let mut staged = std::mem::take(&mut self.staged_inputs);
         for (sig, val) in staged.drain(..) {
-            let info = circuit.signal(sig);
-            if let Some(inet) = info.input_net {
-                input_present[inet.index()] = true;
+            if let Some(inet) = circuit.signal(sig).input_net {
+                self.mark_present(inet.0);
             }
             if let Some(v) = val {
-                self.sig_val[sig.index()] = v;
-                emit_count[sig.index()] = 1;
+                let si = sig.index();
+                self.sig_val[si] = v;
+                emit_count[si] = 1;
+                if self.sparse.tracking {
+                    self.sparse.touched.push(si as u32);
+                }
+                if let Some(t) = wake {
+                    // The value plane changed outside any net: wake the
+                    // subscribed readers.
+                    for &sub in t.sig_readers(si) {
+                        self.sparse.mark_dirty(t, sub);
+                    }
+                }
             }
         }
         self.staged_inputs = staged;
         let mut notifies = std::mem::take(&mut self.staged_notifies);
         for (aid, v) in notifies.drain(..) {
             self.asyncs[aid.index()].notified = Some(v);
-            input_present[circuit.asyncs()[aid.index()].notify_net.index()] = true;
+            self.mark_present(circuit.asyncs()[aid.index()].notify_net.0);
         }
         self.staged_notifies = notifies;
-
-        let result = match engine {
-            // One dense sweep in topological level order; every net is
-            // determined by construction, so no constructive check.
-            EngineMode::Levelized => {
-                let sched = image
-                    .schedule
-                    .as_ref()
-                    .expect("levelized engine without a schedule");
-                self.levelized_fixpoint(circuit, sched, &input_present, &mut emit_count)
-            }
-            // Dense sweeps over acyclic regions in condensation order;
-            // each nontrivial SCC iterates locally to its constructive
-            // fixpoint (with a per-SCC causality check).
-            EngineMode::Hybrid => {
-                self.hybrid_fixpoint(image, &input_present, &mut emit_count)
-            }
-            _ => self.constructive_fixpoint(circuit, engine, &input_present, &mut emit_count),
-        };
-        self.emit_count = emit_count;
-        self.input_present = input_present;
-        result?;
-
-        if self.level_activity.is_some() {
-            self.tally_level_activity(engine);
-        }
-        Ok(())
     }
 
-    /// The constructive FIFO engine (and, with `engine ==
-    /// EngineMode::Naive`, the naive full-sweep reference): seeds the
-    /// sources, propagates to the least fixpoint, and reports a
-    /// causality error if any net is left undetermined or unresolved.
-    fn constructive_fixpoint(
-        &mut self,
-        circuit: &Circuit,
-        engine: EngineMode,
-        input_present: &[bool],
-        emit_count: &mut [u32],
-    ) -> Result<(), RuntimeError> {
-        let n = circuit.nets().len();
-        // Determine sources.
-        for (i, net) in circuit.nets().iter().enumerate() {
-            let v = match net.kind {
-                NetKind::Const(c) => c,
-                NetKind::Input => input_present[i],
-                NetKind::RegOut(r) => self.regs[r.index()],
-                _ => continue,
-            };
-            self.value[i] = v as i8;
-            self.resolved[i] = true;
-            self.queue.push_back(Ev::Det(i as u32));
-            self.queue.push_back(Ev::Res(i as u32));
+    /// Adds an input/notify net to this instant's presence set.
+    fn mark_present(&mut self, net: u32) {
+        if !self.input_present[net as usize] {
+            self.input_present[net as usize] = true;
+            self.present_nets.push(net);
         }
-        // Gates with no fanins are their neutral constant (an empty OR is
-        // 0, an empty AND is 1); they receive no feed, so settle them now.
-        for (i, net) in circuit.nets().iter().enumerate() {
-            if net.fanins.is_empty() && matches!(net.kind, NetKind::Or | NetKind::And) {
-                let neutral = matches!(net.kind, NetKind::And);
-                self.gate_value(circuit, i as u32, neutral, emit_count)?;
-            }
-        }
+    }
 
-        // Propagate to fixpoint.
-        if engine == EngineMode::Naive {
-            self.queue.clear();
-            self.naive_fixpoint(circuit, emit_count)?;
+    /// Publishes a full sweep: every register, presence bit and the
+    /// termination flag. With `queue_flips` (the sparse engine's rebuild
+    /// instants) rewritten registers are queued to seed the next
+    /// incremental instant.
+    fn commit_all(&mut self, circuit: &Circuit, queue_flips: bool) {
+        for (r, reg) in circuit.registers().iter().enumerate() {
+            let new = self.value[reg.input.index()] == 1;
+            if queue_flips && self.regs[r] != new {
+                self.sparse.pending_reg_nets.push(reg.output.0);
+            }
+            self.regs[r] = new;
         }
-        while let Some(ev) = self.queue.pop_front() {
-            self.events += 1;
-            // +1 counts the event just popped.
-            self.queue_hwm = self.queue_hwm.max(self.queue.len() + 1);
-            match ev {
-                Ev::Det(i) => {
-                    let v = self.value[i as usize] == 1;
-                    if self.fine_events {
-                        self.emit_trace(TraceEvent::NetStabilized {
-                            net: i,
-                            label: circuit.nets()[i as usize].label,
-                            value: v,
-                        });
-                    }
-                    // Fanouts are (target, edge-polarity).
-                    for &(j, neg) in circuit.fanouts(NetId(i)) {
-                        self.feed(circuit, j.0, v ^ neg, emit_count)?;
-                    }
-                }
-                Ev::Res(i) => {
-                    for &NetId(d) in circuit.dep_fanouts(NetId(i)) {
-                        self.deps_left[d as usize] -= 1;
-                        if self.deps_left[d as usize] == 0
-                            && self.armed[d as usize]
-                            && !self.resolved[d as usize]
-                        {
-                            self.fire(circuit, d, emit_count)?;
-                        }
-                    }
-                }
+        for (s, info) in circuit.signals().iter().enumerate() {
+            self.last_present[s] = self.value[info.status_net.index()] == 1;
+        }
+        if let Some(t) = circuit.terminated_net {
+            if self.value[t.index()] == 1 {
+                self.terminated = true;
             }
         }
-
-        // Constructive check: everything must be determined and resolved.
-        let is_stuck = |i: usize| self.value[i] < 0 || !self.resolved[i];
-        let undetermined = (0..n).filter(|&i| is_stuck(i)).count();
-        if undetermined > 0 {
-            let stuck: Vec<bool> = (0..n).map(is_stuck).collect();
-            let report = analyze(circuit, &stuck, undetermined, self.seq);
-            if !self.sinks.is_empty() {
-                self.emit_trace(TraceEvent::CausalityFailure { report: &report });
-            }
-            return Err(RuntimeError::Causality {
-                cycle: report.nets.clone(),
-                undetermined,
-                report,
-            });
-        }
-        Ok(())
     }
 
     /// Processes every queued mailbox operation, running one reaction per
@@ -1343,112 +1247,75 @@ impl Machine {
     // ------------------------------------------------------------------
     // Engine internals.
 
-    /// Levelized engine: one dense sweep over the precomputed
-    /// topological schedule. Every fanin and data dependency of a net
-    /// sits at a strictly lower level, so each net is computed exactly
-    /// once and actions fire in level order at their net's stabilization
-    /// point — no queue, no ⊥-bookkeeping, no causality check.
-    fn levelized_fixpoint(
-        &mut self,
-        circuit: &Circuit,
-        sched: &LevelSchedule,
-        input_present: &[bool],
-        emit_count: &mut [u32],
-    ) -> Result<(), RuntimeError> {
-        // The packed states live outside `self` during the sweep so the
-        // fold can read them while actions borrow `self` mutably.
-        let mut state = std::mem::take(&mut self.lv_state);
-        state.reset(circuit.nets().len());
-        let end = sched.order.len();
-        let result = self.sweep_range(circuit, sched, &mut state, input_present, emit_count, 0..end);
-        self.lv_state = state;
-        result
-    }
-
-    /// Hybrid engine: walks the SCC condensation's topological order,
-    /// sweeping dense (acyclic) runs exactly like the levelized engine
-    /// and iterating each nontrivial SCC to its local constructive
-    /// fixpoint. Acyclic work stays O(nets); only cycles pay for
-    /// ⊥-iteration.
-    fn hybrid_fixpoint(
+    /// The block walker ([`EngineMode::Levelized`], and the sparse
+    /// engine's rebuild instants when `hot` is given): walks the image's
+    /// schedule in condensation order, sweeping each dense block once and
+    /// iterating each cyclic block to its local constructive fixpoint.
+    /// Acyclic work stays O(nets); only cycles pay for ⊥-iteration, and
+    /// an acyclic circuit is a single dense block.
+    fn walk(
         &mut self,
         image: &ProgramImage,
-        input_present: &[bool],
         emit_count: &mut [u32],
+        hot: Option<&SparseTables>,
     ) -> Result<(), RuntimeError> {
         let circuit = &image.circuit;
         let hybrid = &image.hybrid;
-        let mut state = std::mem::take(&mut self.lv_state);
-        state.reset(circuit.nets().len());
         let armed = self.level_activity.is_some();
         if armed {
             self.la_block_evals.clear();
             self.la_block_evals.resize(hybrid.blocks.len(), 0);
         }
-        let mut result = Ok(());
         for (bi, block) in hybrid.blocks.iter().enumerate() {
             let events_before = self.events;
-            result = match *block {
+            match *block {
                 Block::Dense { start, end } => self.sweep_range(
                     circuit,
                     &hybrid.sched,
-                    &mut state,
-                    input_present,
                     emit_count,
                     start as usize..end as usize,
-                ),
+                    hot,
+                )?,
                 Block::Cyclic { start, end } => self.iterate_scc(
                     circuit,
                     &hybrid.sched,
-                    &mut state,
-                    input_present,
                     emit_count,
                     start as usize..end as usize,
-                ),
-            };
+                )?,
+            }
             if armed {
-                // Honest per-block accounting: a dense block costs its
-                // span, a cyclic block its measured iteration work.
                 self.la_block_evals[bi] = (self.events - events_before) as u64;
             }
-            if result.is_err() {
-                break;
-            }
         }
-        self.lv_state = state;
-        result
+        Ok(())
     }
 
     /// Iterates one strongly connected component (positions `range` of
-    /// the hybrid order) with the naive sweep rules until its local
-    /// fixpoint, then publishes the members into the packed states for
-    /// downstream dense sweeps. A member left ⊥ (or unresolved) is a
-    /// constructive deadlock: reported exactly like the FIFO engine's
-    /// end-of-reaction causality check, but scoped to this SCC.
+    /// the walker's order) with the ternary sweep rules of
+    /// [`Machine::step_net`] until its local fixpoint. Only the members'
+    /// `value`/`resolved` are reset: everything upstream was settled
+    /// earlier in the walk. A member left ⊥ (or unresolved) is a
+    /// constructive deadlock, reported like the reference engine's
+    /// end-of-reaction causality check but scoped to this SCC.
     fn iterate_scc(
         &mut self,
         circuit: &Circuit,
         sched: &LevelSchedule,
-        state: &mut PackedStates,
-        input_present: &[bool],
         emit_count: &mut [u32],
         range: std::ops::Range<usize>,
     ) -> Result<(), RuntimeError> {
         let members = &sched.order[range];
-        // Sources cannot sit on a combinational cycle, but dep-edge-only
-        // SCCs may contain them; seed them like the FIFO engine does.
         for &id in members {
+            // Sources cannot sit on a combinational cycle, but a
+            // dependency-edge SCC of a hand-built circuit may hold one.
             let i = id as usize;
-            if self.image.class[i] == Class::Source {
-                let v = match circuit.nets()[i].kind {
-                    NetKind::Const(c) => c,
-                    NetKind::Input => input_present[i],
-                    NetKind::RegOut(r) => self.regs[r.index()],
-                    _ => unreachable!("source net with gate kind"),
-                };
-                self.value[i] = v as i8;
-                self.resolved[i] = true;
-            }
+            let source = self.image.class[i] == Class::Source;
+            self.value[i] = if source {
+                self.eval_net(circuit, sched, id, emit_count, None)? as i8
+            } else {
+                -1
+            };
+            self.resolved[i] = source;
         }
         loop {
             let mut changed = false;
@@ -1459,27 +1326,20 @@ impl Machine {
                 break;
             }
         }
-        let mut stuck_members = Vec::new();
-        for &id in members {
-            let i = id as usize;
-            if self.value[i] < 0 || !self.resolved[i] {
-                stuck_members.push(i);
-            } else {
-                state.set(i, self.value[i] == 1);
-            }
-        }
-        if !stuck_members.is_empty() {
+        let is_stuck = |i: usize| self.value[i] < 0 || !self.resolved[i];
+        let undetermined = members.iter().filter(|&&id| is_stuck(id as usize)).count();
+        if undetermined > 0 {
             let mut stuck = vec![false; circuit.nets().len()];
-            for &i in &stuck_members {
-                stuck[i] = true;
+            for &id in members {
+                stuck[id as usize] = is_stuck(id as usize);
             }
-            let report = analyze(circuit, &stuck, stuck_members.len(), self.seq);
+            let report = analyze(circuit, &stuck, undetermined, self.seq);
             if !self.sinks.is_empty() {
                 self.emit_trace(TraceEvent::CausalityFailure { report: &report });
             }
             return Err(RuntimeError::Causality {
                 cycle: report.nets.clone(),
-                undetermined: stuck_members.len(),
+                undetermined,
                 report,
             });
         }
@@ -1487,92 +1347,33 @@ impl Machine {
     }
 
     /// One dense pass over positions `range` of `sched.order`: each net
-    /// is computed exactly once (all fanins and dependencies stabilized
-    /// earlier in the order) and additionally marked resolved so cyclic
-    /// blocks downstream see it as a settled dependency.
+    /// is computed exactly once, all its fanins and dependencies having
+    /// been written earlier in the order.
     fn sweep_range(
         &mut self,
         circuit: &Circuit,
         sched: &LevelSchedule,
-        state: &mut PackedStates,
-        input_present: &[bool],
         emit_count: &mut [u32],
         range: std::ops::Range<usize>,
+        hot: Option<&SparseTables>,
     ) -> Result<(), RuntimeError> {
-        // Folds a gate's fanins with an early exit on the controlling
-        // value (OR: any 1 → 1; AND: any 0 → 0).
-        #[inline]
-        fn fold(sched: &LevelSchedule, state: &PackedStates, i: usize, controlling: bool) -> bool {
-            for &edge in sched.fanins(i) {
-                let v = state.get((edge >> 1) as usize) ^ (edge & 1 == 1);
-                if v == controlling {
-                    return controlling;
-                }
-            }
-            !controlling
-        }
-
         let nets = &sched.order[range];
         for &id in nets {
-            let i = id as usize;
-            let v = match sched.code[i] {
-                CODE_CONST0 => false,
-                CODE_CONST1 => true,
-                CODE_INPUT => input_present[i],
-                CODE_REG => self.regs[sched.aux[i] as usize],
-                CODE_OR => fold(sched, state, i, true),
-                CODE_AND => fold(sched, state, i, false),
-                CODE_TEST => {
-                    // Exactly one control fanin; a 0 control skips the
-                    // test evaluation (and its counter side effects),
-                    // matching the constructive engine.
-                    let edge = sched.fanins(i)[0];
-                    let control = state.get((edge >> 1) as usize) ^ (edge & 1 == 1);
-                    control && self.eval_test(circuit, id)
-                }
-                code @ (CODE_OR_EARLY | CODE_AND_EARLY) => {
-                    let v = fold(sched, state, i, code == CODE_OR_EARLY);
-                    if v {
-                        self.run_action(circuit, id, emit_count)?;
-                    }
-                    v
-                }
-                code @ (CODE_OR_LATE | CODE_AND_LATE) => {
-                    let gate = fold(sched, state, i, code == CODE_OR_LATE);
-                    if gate {
-                        self.run_action(circuit, id, emit_count)?;
-                    }
-                    gate
-                }
-                code => unreachable!("bad opcode {code}"),
-            };
-            state.set(i, v);
-            self.value[i] = v as i8;
-            self.resolved[i] = true;
-            if self.fine_events {
-                self.emit_trace(TraceEvent::NetStabilized {
-                    net: id,
-                    label: circuit.nets()[i].label,
-                    value: v,
-                });
-            }
+            let v = self.eval_net(circuit, sched, id, emit_count, hot)?;
+            self.value[id as usize] = v as i8;
         }
         self.events += nets.len();
         Ok(())
     }
 
     /// Sparse-engine reaction body: syncs the incremental pre-value and
-    /// emission-counter planes, stages presence into the persistent
-    /// input set, seeds and runs the dirty sweep (or one full rebuild
-    /// sweep when the baseline is invalid), and leaves deferred commit
-    /// records for [`Machine::sparse_commit`]. Returns whether this
-    /// instant rebuilt the baseline.
+    /// emission-counter planes, stages the inputs, and runs the dirty
+    /// sweep — or, when the baseline is invalid, one full walk that
+    /// rebuilds it — leaving deferred commit records for
+    /// [`Machine::sparse_commit`]. Returns whether this instant rebuilt
+    /// the baseline.
     fn sparse_react(&mut self, image: &ProgramImage) -> Result<bool, RuntimeError> {
         let circuit = &image.circuit;
-        let sched = image
-            .schedule
-            .as_ref()
-            .expect("sparse engine without a schedule");
         let t = image.sparse();
         self.sparse.ensure_allocated(circuit.nets().len(), t.levels);
         let rebuild = !self.sparse.valid;
@@ -1586,9 +1387,9 @@ impl Machine {
 
         let armed = self.level_activity.is_some();
         if armed {
-            self.sparse.level_evals.resize(sched.levels, 0);
+            self.sparse.level_evals.resize(t.levels, 0);
             self.sparse.level_evals.fill(0);
-            self.sparse.level_changed.resize(sched.levels, 0);
+            self.sparse.level_changed.resize(t.levels, 0);
             self.sparse.level_changed.fill(0);
             let n = circuit.nets().len();
             if self.prev_value.len() != n {
@@ -1598,14 +1399,11 @@ impl Machine {
 
         if rebuild {
             // Dense-equivalent prologue: full pre-value sync, zeroed
-            // emission counters, cleared presence/hot/dirty bookkeeping.
+            // emission counters, cleared hot/dirty bookkeeping.
             self.sig_preval.clone_from(&self.sig_val);
             self.emit_count.clear();
             self.emit_count.resize(circuit.signals().len(), 0);
             self.sparse.touched.clear();
-            self.sparse.in_present.fill(false);
-            self.sparse.present_nets.clear();
-            self.sparse.prev_present.clear();
             self.sparse.pending_reg_nets.clear();
             self.sparse.hot.clear();
             self.sparse.in_hot.fill(false);
@@ -1621,7 +1419,7 @@ impl Machine {
             for &s in &touched {
                 let si = s as usize;
                 if self.sig_val[si] != self.sig_preval[si] {
-                    for &sub in &t.sig_subs[t.sig_subs_start[si] as usize..t.sig_subs_start[si + 1] as usize] {
+                    for &sub in t.sig_readers(si) {
                         self.sparse.mark_dirty(t, sub);
                     }
                     self.sig_preval[si].clone_from(&self.sig_val[si]);
@@ -1632,91 +1430,22 @@ impl Machine {
             self.sparse.touched = touched;
         }
 
-        // Stage presence into the persistent input set; the previous
-        // instant's set is parked in `prev_present` for delta seeding.
-        debug_assert!(self.sparse.prev_present.is_empty());
-        std::mem::swap(&mut self.sparse.present_nets, &mut self.sparse.prev_present);
-        for k in 0..self.sparse.prev_present.len() {
-            let i = self.sparse.prev_present[k] as usize;
-            self.sparse.in_present[i] = false;
-        }
-        let mut staged = std::mem::take(&mut self.staged_inputs);
-        let mut emit_count = std::mem::take(&mut self.emit_count);
-        for (sig, val) in staged.drain(..) {
-            let info = circuit.signal(sig);
-            if let Some(inet) = info.input_net {
-                if !self.sparse.in_present[inet.index()] {
-                    self.sparse.in_present[inet.index()] = true;
-                    self.sparse.present_nets.push(inet.0);
-                }
-            }
-            if let Some(v) = val {
-                let si = sig.index();
-                self.sig_val[si] = v;
-                emit_count[si] = 1;
-                self.sparse.touched.push(si as u32);
-                if !rebuild {
-                    // The value plane changed outside any net: wake the
-                    // subscribed readers.
-                    for &sub in &t.sig_subs[t.sig_subs_start[si] as usize..t.sig_subs_start[si + 1] as usize] {
-                        self.sparse.mark_dirty(t, sub);
-                    }
-                }
-            }
-        }
-        self.staged_inputs = staged;
-        let mut notifies = std::mem::take(&mut self.staged_notifies);
-        for (aid, v) in notifies.drain(..) {
-            let rt = &mut self.asyncs[aid.index()];
-            rt.notified = Some(v);
-            let nn = circuit.asyncs()[aid.index()].notify_net;
-            if !self.sparse.in_present[nn.index()] {
-                self.sparse.in_present[nn.index()] = true;
-                self.sparse.present_nets.push(nn.0);
-            }
-        }
-        self.staged_notifies = notifies;
-
         self.sparse.tracking = true;
+        let mut emit_count = std::mem::take(&mut self.emit_count);
+        self.stage_inputs(circuit, &mut emit_count, (!rebuild).then_some(t));
         let result = if rebuild {
-            self.sparse_rebuild_sweep(circuit, sched, t, &mut emit_count, armed)
+            self.walk(image, &mut emit_count, Some(t))
         } else {
-            self.sparse_incremental_sweep(circuit, sched, t, &mut emit_count, armed)
+            self.sparse_incremental_sweep(image, t, &mut emit_count, armed)
         };
         self.sparse.tracking = false;
         self.emit_count = emit_count;
-        self.sparse.prev_present.clear();
+        self.prev_present.clear();
         result?;
-        Ok(rebuild)
-    }
-
-    /// Full level-order sweep through the sparse evaluator: identical
-    /// semantics to the dense levelized sweep, additionally rebuilding
-    /// the presence/hot bookkeeping the incremental instants rely on.
-    fn sparse_rebuild_sweep(
-        &mut self,
-        circuit: &Circuit,
-        sched: &LevelSchedule,
-        t: &SparseTables,
-        emit_count: &mut [u32],
-        armed: bool,
-    ) -> Result<(), RuntimeError> {
-        for &id in &sched.order {
-            let i = id as usize;
-            let v = self.sparse_eval_net(circuit, sched, t, id, emit_count)?;
-            let nv = v as i8;
-            self.value[i] = nv;
-            if armed {
-                let l = t.level_of[i] as usize;
-                self.sparse.level_evals[l] += 1;
-                if self.prev_value[i] != nv {
-                    self.sparse.level_changed[l] += 1;
-                }
-                self.prev_value[i] = nv;
-            }
+        if rebuild && armed {
+            self.tally_level_activity();
         }
-        self.events += sched.order.len();
-        Ok(())
+        Ok(rebuild)
     }
 
     /// The incremental sweep: seeds the per-level worklists from changed
@@ -1727,23 +1456,17 @@ impl Machine {
     /// recompute (fanins sit at strictly lower levels).
     fn sparse_incremental_sweep(
         &mut self,
-        circuit: &Circuit,
-        sched: &LevelSchedule,
+        image: &ProgramImage,
         t: &SparseTables,
         emit_count: &mut [u32],
         armed: bool,
     ) -> Result<(), RuntimeError> {
+        let circuit = &image.circuit;
+        let sched = &image.hybrid.sched;
         // Seed: presence edges — both instants' staged sets, kept where
         // the new presence differs from the baseline value.
-        for k in 0..self.sparse.prev_present.len() {
-            let id = self.sparse.prev_present[k];
-            if (self.sparse.in_present[id as usize] as i8) != self.value[id as usize] {
-                self.sparse.mark_dirty(t, id);
-            }
-        }
-        for k in 0..self.sparse.present_nets.len() {
-            let id = self.sparse.present_nets[k];
-            if (self.sparse.in_present[id as usize] as i8) != self.value[id as usize] {
+        for &id in self.prev_present.iter().chain(&self.present_nets) {
+            if (self.input_present[id as usize] as i8) != self.value[id as usize] {
                 self.sparse.mark_dirty(t, id);
             }
         }
@@ -1777,7 +1500,7 @@ impl Machine {
             for &id in &list {
                 let i = id as usize;
                 self.sparse.dirty[i] = false;
-                let v = self.sparse_eval_net(circuit, sched, t, id, emit_count)?;
+                let v = self.eval_net(circuit, sched, id, emit_count, Some(t))?;
                 self.events += 1;
                 let nv = v as i8;
                 if armed {
@@ -1819,50 +1542,45 @@ impl Machine {
         Ok(())
     }
 
-    /// Evaluates one net under the sparse engine — the same opcode rules
-    /// as the dense sweep, reading fanins from the live `value` plane
-    /// (evaluated this instant or valid baseline), and maintaining the
-    /// hot-set membership of side-effectful nets.
-    fn sparse_eval_net(
+    /// Evaluates net `id` — the one per-net evaluator of the walker and
+    /// the sparse engine. Fanins are read from the `value` plane: the
+    /// walker has written every one of them earlier in the order, and
+    /// the sparse engine holds either this instant's value or a valid
+    /// baseline there. Under the sparse engine (`hot` given) it also
+    /// maintains the hot-set membership of side-effectful nets.
+    #[inline(always)]
+    fn eval_net(
         &mut self,
         circuit: &Circuit,
         sched: &LevelSchedule,
-        t: &SparseTables,
         id: u32,
         emit_count: &mut [u32],
+        hot: Option<&SparseTables>,
     ) -> Result<bool, RuntimeError> {
         let i = id as usize;
         let v = match sched.code[i] {
             CODE_CONST0 => false,
             CODE_CONST1 => true,
-            CODE_INPUT => self.sparse.in_present[i],
+            CODE_INPUT => self.input_present[i],
             CODE_REG => self.regs[sched.aux[i] as usize],
-            CODE_OR => self.sparse_fold(sched, i, true),
-            CODE_AND => self.sparse_fold(sched, i, false),
+            CODE_OR => self.fold(sched, i, true),
+            CODE_AND => self.fold(sched, i, false),
             CODE_TEST => {
                 // Exactly one control fanin; a 0 control skips the test
                 // evaluation (and its counter side effects), matching
-                // the dense sweep.
-                let edge = sched.fanins(i)[0];
-                let control = (self.value[(edge >> 1) as usize] == 1) ^ (edge & 1 == 1);
-                if t.needs_hot[i] {
+                // the constructive engine.
+                let control = self.fanin(sched.fanins(i)[0]);
+                if hot.is_some_and(|t| t.needs_hot[i]) {
                     self.sparse.set_hot(id, control);
                 }
                 control && self.eval_test(circuit, id)
             }
-            code @ (CODE_OR_EARLY | CODE_AND_EARLY) => {
-                let v = self.sparse_fold(sched, i, code == CODE_OR_EARLY);
-                if t.needs_hot[i] {
-                    self.sparse.set_hot(id, v);
-                }
-                if v {
-                    self.run_action(circuit, id, emit_count)?;
-                }
-                v
-            }
-            code @ (CODE_OR_LATE | CODE_AND_LATE) => {
-                let gate = self.sparse_fold(sched, i, code == CODE_OR_LATE);
-                if t.needs_hot[i] {
+            code @ (CODE_OR_EARLY | CODE_AND_EARLY | CODE_OR_LATE | CODE_AND_LATE) => {
+                // EARLY's value is its gate; LATE determines to 1 only by
+                // running its action — in schedule order both run the
+                // action exactly when the gate is 1.
+                let gate = self.fold(sched, i, matches!(code, CODE_OR_EARLY | CODE_OR_LATE));
+                if hot.is_some_and(|t| t.needs_hot[i]) {
                     self.sparse.set_hot(id, gate);
                 }
                 if gate {
@@ -1882,40 +1600,31 @@ impl Machine {
         Ok(v)
     }
 
-    /// Folds a gate's fanins over the live `value` plane with an early
-    /// exit on the controlling value (OR: any 1 → 1; AND: any 0 → 0).
-    #[inline]
-    fn sparse_fold(&self, sched: &LevelSchedule, i: usize, controlling: bool) -> bool {
+    /// The value of a packed `net << 1 | negated` fanin edge.
+    #[inline(always)]
+    fn fanin(&self, edge: u32) -> bool {
+        (self.value[(edge >> 1) as usize] == 1) ^ (edge & 1 == 1)
+    }
+
+    /// Folds a gate's fanins with an early exit on the controlling value
+    /// (OR: any 1 → 1; AND: any 0 → 0).
+    #[inline(always)]
+    fn fold(&self, sched: &LevelSchedule, i: usize, controlling: bool) -> bool {
         for &edge in sched.fanins(i) {
-            let v = (self.value[(edge >> 1) as usize] == 1) ^ (edge & 1 == 1);
-            if v == controlling {
+            if self.fanin(edge) == controlling {
                 return controlling;
             }
         }
         !controlling
     }
 
-    /// Publishes the deferred commit records of a successful sparse
-    /// instant: registers (queueing flipped ones for next-instant
-    /// seeding), presence, termination, per-level activity, and finally
-    /// the baseline validity flag.
+    /// Publishes a successful sparse instant: a rebuild commits in full,
+    /// an incremental instant through its deferred change records
+    /// (queueing flipped registers for next-instant seeding either way);
+    /// then per-level activity, and finally the baseline validity flag.
     fn sparse_commit(&mut self, circuit: &Circuit, rebuild: bool) {
         if rebuild {
-            for (r, reg) in circuit.registers().iter().enumerate() {
-                let new = self.value[reg.input.index()] == 1;
-                if self.regs[r] != new {
-                    self.regs[r] = new;
-                    self.sparse.pending_reg_nets.push(reg.output.0);
-                }
-            }
-            for (s, info) in circuit.signals().iter().enumerate() {
-                self.last_present[s] = self.value[info.status_net.index()] == 1;
-            }
-            if let Some(t) = circuit.terminated_net {
-                if self.value[t.index()] == 1 {
-                    self.terminated = true;
-                }
-            }
+            self.commit_all(circuit, true);
         } else {
             let mut commit_regs = std::mem::take(&mut self.sparse.commit_regs);
             for &r in &commit_regs {
@@ -1947,6 +1656,7 @@ impl Machine {
         }
         self.sparse.valid = true;
         if let Some(la) = &mut self.level_activity {
+            // A rebuild was tallied by the walker; these are zero then.
             let levels = self.sparse.level_evals.len();
             if la.evals.len() < levels {
                 la.evals.resize(levels, 0);
@@ -1959,29 +1669,9 @@ impl Machine {
         }
     }
 
-    /// Reference engine: full sweeps until stable (see
-    /// [`Machine::set_naive`]).
-    fn naive_fixpoint(
-        &mut self,
-        circuit: &Circuit,
-        emit_count: &mut [u32],
-    ) -> Result<(), RuntimeError> {
-        let n = circuit.nets().len();
-        loop {
-            let mut changed = false;
-            for i in 0..n {
-                changed |= self.step_net(circuit, i, emit_count)?;
-            }
-            if !changed {
-                return Ok(());
-            }
-        }
-    }
-
-    /// One evaluation attempt of net `i` under the sweep engines' ternary
-    /// rules; returns whether anything changed. Shared by the naive
-    /// reference engine (full-circuit sweeps) and the hybrid engine's
-    /// per-SCC iteration.
+    /// One evaluation attempt of net `i` under ternary rules; returns
+    /// whether anything changed. The walker's SCC iteration repeats it
+    /// over a component's members until nothing changes.
     fn step_net(
         &mut self,
         circuit: &Circuit,
@@ -2074,134 +1764,6 @@ impl Machine {
             }
         }
         Ok(changed)
-    }
-
-    fn feed(
-        &mut self,
-        circuit: &Circuit,
-        j: u32,
-        v: bool,
-        emit_count: &mut [u32],
-    ) -> Result<(), RuntimeError> {
-        let ji = j as usize;
-        if self.value[ji] != -1 || (self.armed[ji] && self.image.class[ji] != Class::Early) {
-            return Ok(());
-        }
-        match self.image.class[ji] {
-            Class::Source => Ok(()),
-            Class::Test => {
-                if v {
-                    self.arm(circuit, j, emit_count)
-                } else {
-                    self.value[ji] = 0;
-                    self.queue.push_back(Ev::Det(j));
-                    self.resolve(j);
-                    Ok(())
-                }
-            }
-            _ => {
-                let controlling = self.image.is_or[ji];
-                if v == controlling {
-                    self.gate_value(circuit, j, controlling, emit_count)
-                } else {
-                    self.undet[ji] -= 1;
-                    if self.undet[ji] == 0 {
-                        self.gate_value(circuit, j, !controlling, emit_count)
-                    } else {
-                        Ok(())
-                    }
-                }
-            }
-        }
-    }
-
-    fn gate_value(
-        &mut self,
-        circuit: &Circuit,
-        j: u32,
-        v: bool,
-        emit_count: &mut [u32],
-    ) -> Result<(), RuntimeError> {
-        let ji = j as usize;
-        match self.image.class[ji] {
-            Class::Gate => {
-                self.value[ji] = v as i8;
-                self.queue.push_back(Ev::Det(j));
-                self.resolve(j);
-                Ok(())
-            }
-            Class::Early => {
-                self.value[ji] = v as i8;
-                self.queue.push_back(Ev::Det(j));
-                if v {
-                    self.arm(circuit, j, emit_count)
-                } else {
-                    self.resolve(j);
-                    Ok(())
-                }
-            }
-            Class::Late => {
-                if v {
-                    self.arm(circuit, j, emit_count)
-                } else {
-                    self.value[ji] = 0;
-                    self.queue.push_back(Ev::Det(j));
-                    self.resolve(j);
-                    Ok(())
-                }
-            }
-            Class::Source | Class::Test => unreachable!("gate_value on non-gate"),
-        }
-    }
-
-    fn arm(
-        &mut self,
-        circuit: &Circuit,
-        j: u32,
-        emit_count: &mut [u32],
-    ) -> Result<(), RuntimeError> {
-        self.armed[j as usize] = true;
-        if self.deps_left[j as usize] == 0 {
-            self.fire(circuit, j, emit_count)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn fire(
-        &mut self,
-        circuit: &Circuit,
-        j: u32,
-        emit_count: &mut [u32],
-    ) -> Result<(), RuntimeError> {
-        let ji = j as usize;
-        match self.image.class[ji] {
-            Class::Test => {
-                let v = self.eval_test(circuit, j);
-                self.value[ji] = v as i8;
-                self.queue.push_back(Ev::Det(j));
-                self.resolve(j);
-                Ok(())
-            }
-            Class::Early => {
-                self.run_action(circuit, j, emit_count)?;
-                self.resolve(j);
-                Ok(())
-            }
-            Class::Late => {
-                self.run_action(circuit, j, emit_count)?;
-                self.value[ji] = 1;
-                self.queue.push_back(Ev::Det(j));
-                self.resolve(j);
-                Ok(())
-            }
-            Class::Source | Class::Gate => unreachable!("fire on actionless net"),
-        }
-    }
-
-    fn resolve(&mut self, j: u32) {
-        self.resolved[j as usize] = true;
-        self.queue.push_back(Ev::Res(j));
     }
 
     fn env<'a>(&'a self, circuit: &'a Circuit) -> EnvView<'a> {
@@ -2432,7 +1994,7 @@ impl Machine {
             // pre-value sync and wake `nowval`/`preval` readers.
             self.sparse.touched.push(si as u32);
             let t = self.image.sparse();
-            for &sub in &t.sig_subs[t.sig_subs_start[si] as usize..t.sig_subs_start[si + 1] as usize] {
+            for &sub in t.sig_readers(si) {
                 self.sparse.mark_dirty(t, sub);
             }
         }

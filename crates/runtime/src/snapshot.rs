@@ -34,11 +34,10 @@
 //! *structure* (net equations, fanins, dependencies, actions, signals,
 //! registers, counters, asyncs). Unlike `cohort_key`, which hashes the
 //! levelized schedule tables and is `None` for cyclic circuits, the
-//! structural hash covers every circuit, so the guard works for hybrid
-//! and constructive programs too.
+//! structural hash covers every circuit, so the guard works for cyclic
+//! programs too.
 
 use crate::flight::{digest_hash, Json};
-use crate::levelized::EngineMode;
 use crate::telemetry::{json_escape, json_value};
 use hiphop_circuit::circuit::Circuit;
 use hiphop_core::value::Value;
@@ -221,8 +220,9 @@ pub struct MachineSnapshot {
     pub program: String,
     /// [`circuit_struct_hash`] of the source circuit.
     pub struct_hash: u64,
-    /// The explicit engine request (`None` = automatic selection), as a
-    /// lowercase tag: `levelized`, `constructive`, `naive`, `hybrid`.
+    /// The explicit engine request (`None` = automatic selection), as
+    /// [`crate::EngineMode::name`] writes it; restore parses it with the
+    /// mode's `FromStr`, so older tags (`hybrid`, `naive`) still load.
     pub engine: Option<String>,
     /// Register plane.
     pub regs: Vec<bool>,
@@ -690,29 +690,6 @@ fn parse_session(j: &Json) -> Result<SessionSnapshot, SnapshotError> {
 /// fingerprint stored in [`SessionSnapshot::digest`].
 pub fn digest_of(state_digest: &str) -> String {
     digest_hash(state_digest)
-}
-
-/// Lowercase wire tag of an engine mode ([`MachineSnapshot::engine`]).
-pub fn engine_tag(mode: EngineMode) -> &'static str {
-    match mode {
-        EngineMode::Levelized => "levelized",
-        EngineMode::Constructive => "constructive",
-        EngineMode::Naive => "naive",
-        EngineMode::Hybrid => "hybrid",
-        EngineMode::Sparse => "sparse",
-    }
-}
-
-/// Inverse of [`engine_tag`].
-pub fn engine_from_tag(tag: &str) -> Option<EngineMode> {
-    match tag {
-        "levelized" => Some(EngineMode::Levelized),
-        "constructive" => Some(EngineMode::Constructive),
-        "naive" => Some(EngineMode::Naive),
-        "hybrid" => Some(EngineMode::Hybrid),
-        "sparse" => Some(EngineMode::Sparse),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! ([`crate::EngineMode::Sparse`]): the static [`SparseTables`], shared
 //! through the program image, and the per-machine [`SparseState`].
 //!
-//! The levelized engine re-evaluates every net of every level each
+//! The block walker re-evaluates every net of every level each
 //! instant; most real instants touch a handful of inputs. The sparse
 //! engine keeps the previous instant's committed net values in
 //! `Machine::value` as a *baseline* and only re-evaluates nets that can
@@ -25,8 +25,10 @@
 //! levels, a skipped net's baseline value is exactly what the dense
 //! sweep would recompute, and because each level's dirty list is
 //! processed in ascending net id — the dense within-level order —
-//! actions fire in precisely the dense sweep's sequence. That makes the
-//! sparse engine byte- and digest-identical to the levelized sweep,
+//! actions fire in precisely the dense sweep's sequence. Both evaluate
+//! through the same per-net evaluator (`Machine::eval_net`), which also
+//! keeps the hot set while the sparse engine runs. That makes the
+//! sparse engine byte- and digest-identical to the walker,
 //! which the differential battery (proptests, chaos, conformance,
 //! goldens, durability) checks end to end.
 //!
@@ -34,7 +36,7 @@
 //! by another engine, any failed (rolled-back) reaction, a
 //! [`crate::Machine::reset`], a durable restore, or a hot swap clears
 //! [`SparseState::valid`], and the next sparse instant runs one full
-//! level-order sweep that rebuilds the baseline and every derived set.
+//! walk that rebuilds the baseline and every derived set.
 //! Durable snapshots deliberately do not serialize the baseline — a
 //! restored machine rebuilds it on its first instant, which keeps the
 //! wire format engine-agnostic.
@@ -79,6 +81,14 @@ pub(crate) struct SparseTables {
     pub(crate) sigs_by_status: Vec<u32>,
     /// The circuit's termination net, if any.
     pub(crate) terminated_net: Option<u32>,
+}
+
+impl SparseTables {
+    /// The nets reading signal `si`'s value plane (`nowval`/`preval`).
+    #[inline]
+    pub(crate) fn sig_readers(&self, si: usize) -> &[u32] {
+        &self.sig_subs[self.sig_subs_start[si] as usize..self.sig_subs_start[si + 1] as usize]
+    }
 }
 
 impl SparseTables {
@@ -188,14 +198,6 @@ pub(crate) struct SparseState {
     /// instant, reset, restore and hot swap; set again only after a
     /// sparse instant commits.
     pub(crate) valid: bool,
-    /// Committed presence of input/notify nets (mirror of the staged
-    /// set), maintained incrementally via `present_nets`.
-    pub(crate) in_present: Vec<bool>,
-    /// Nets whose `in_present` bit is currently set.
-    pub(crate) present_nets: Vec<u32>,
-    /// Scratch holding the *previous* instant's `present_nets` during
-    /// staging (buffer reuse; swapped, never reallocated).
-    pub(crate) prev_present: Vec<u32>,
     /// Per-net dirty flag (deduplicates the level lists).
     pub(crate) dirty: Vec<bool>,
     /// Per-level dirty worklists; a level with an empty list is skipped
@@ -234,7 +236,6 @@ impl SparseState {
         if self.dirty.len() == n {
             return;
         }
-        self.in_present = vec![false; n];
         self.dirty = vec![false; n];
         self.in_hot = vec![false; n];
         self.level_lists = (0..levels).map(|_| Vec::new()).collect();

@@ -504,12 +504,12 @@ impl Histogram {
 // ---------------------------------------------------------------------------
 // Per-level sweep activity.
 
-/// Per-level net-evaluation counters from the levelized/hybrid sweep:
-/// how many nets each level evaluated, and how many actually changed
-/// value since the previous instant. The gap between the two quantifies
-/// the "wide but quiet" waste a sparse incremental engine would skip
-/// (the ROADMAP item this instruments). Index = topological level for
-/// the levelized engine, schedule block for the hybrid engine.
+/// Per-level net-evaluation counters from the block walker and the
+/// sparse engine: how many nets each level evaluated, and how many
+/// actually changed value since the previous instant. The gap between
+/// the two quantifies the "wide but quiet" waste the sparse engine
+/// skips. Index = topological level on an acyclic circuit, schedule
+/// block on a cyclic one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelActivity {
     /// Nets evaluated per level, summed over reactions.

@@ -1,8 +1,8 @@
-//! Engine-selection semantics: acyclic circuits get the levelized
-//! schedule, statically cyclic circuits default to the SCC-condensed
-//! hybrid engine — including circuits that are cyclic *but constructive*
-//! (they converge), which the levelized engine can never run because
-//! topological levels do not exist for them.
+//! Engine-selection semantics: the block walker is the default for
+//! every circuit — over the level schedule when the circuit is acyclic,
+//! over the SCC-condensed schedule when it is statically cyclic,
+//! including circuits that are cyclic *but constructive* (they
+//! converge), for which topological levels do not exist.
 
 use hiphop_core::prelude::*;
 use hiphop_runtime::{machine_for, EngineMode, Machine, RuntimeError};
@@ -12,6 +12,7 @@ use hiphop_runtime::{machine_for, EngineMode, Machine, RuntimeError};
 /// `and(X, 0)` determines `Y = 0` without looking at `X`, which then
 /// determines `X = 1`. Constructive semantics has no excluded middle,
 /// so with `I` present the cycle is real and the reaction must fail.
+/// The body repeats every instant, so every instant poses the cycle.
 fn cyclic_but_constructive() -> Machine {
     let body = Stmt::local(
         vec![
@@ -27,7 +28,7 @@ fn cyclic_but_constructive() -> Machine {
     let module = Module::new("CYC")
         .input(SignalDecl::new("I", Direction::In))
         .output(SignalDecl::new("O", Direction::Out))
-        .body(body);
+        .body(Stmt::loop_(Stmt::seq([body, Stmt::Pause])));
     machine_for(&module, &ModuleRegistry::new()).expect("compiles (with a cycle warning)")
 }
 
@@ -59,25 +60,24 @@ fn acyclic_circuits_default_to_levelized() {
 }
 
 #[test]
-fn cyclic_circuits_default_to_hybrid() {
+fn cyclic_circuits_default_to_the_block_walker() {
     let mut m = cyclic_but_constructive();
-    assert_eq!(m.engine(), EngineMode::Hybrid, "no levelized schedule exists");
-    assert!(m.levelization().is_none());
-    // An explicit levelized request cannot be honored either — the
-    // resolved engine stays hybrid (dense sweeps outside the SCCs).
-    assert_eq!(m.set_engine(EngineMode::Levelized), EngineMode::Hybrid);
-    // …but explicit constructive / naive requests are.
+    assert_eq!(
+        m.engine(),
+        EngineMode::Levelized,
+        "the walker runs the SCC blocks"
+    );
+    assert!(m.levelization().is_none(), "no level schedule exists");
+    assert_eq!(m.set_engine(EngineMode::Levelized), EngineMode::Levelized);
+    // The sparse sweep needs levels and falls back to the walker…
+    assert_eq!(m.set_engine(EngineMode::Sparse), EngineMode::Levelized);
+    // …while the constructive reference runs anything.
     assert_eq!(m.set_engine(EngineMode::Constructive), EngineMode::Constructive);
-    assert_eq!(m.set_engine(EngineMode::Naive), EngineMode::Naive);
 }
 
 #[test]
 fn cyclic_but_constructive_converges_without_the_input() {
-    for mode in [
-        EngineMode::Constructive,
-        EngineMode::Naive,
-        EngineMode::Hybrid,
-    ] {
+    for mode in [EngineMode::Constructive, EngineMode::Levelized] {
         let mut m = cyclic_but_constructive();
         m.set_engine(mode);
         let r = m.react().expect("constructive convergence");
@@ -87,11 +87,7 @@ fn cyclic_but_constructive_converges_without_the_input() {
 
 #[test]
 fn cyclic_but_constructive_deadlocks_with_the_input() {
-    for mode in [
-        EngineMode::Constructive,
-        EngineMode::Naive,
-        EngineMode::Hybrid,
-    ] {
+    for mode in [EngineMode::Constructive, EngineMode::Levelized] {
         let mut m = cyclic_but_constructive();
         m.set_engine(mode);
         let err = m
@@ -110,12 +106,44 @@ fn cyclic_but_constructive_deadlocks_with_the_input() {
 }
 
 #[test]
+fn engine_hops_across_deadlocks_keep_a_cyclic_machine_consistent() {
+    // Each engine keeps its own ⊥ bookkeeping: a deadlock left half
+    // settled by one engine must not leak into the next instant of the
+    // other. The walker resets only its SCC members, so this is the case
+    // that would show a stale plane.
+    let mut hopper = cyclic_but_constructive();
+    let mut twin = cyclic_but_constructive();
+    twin.set_engine(EngineMode::Constructive);
+    for (step, mode) in [
+        EngineMode::Constructive,
+        EngineMode::Levelized,
+        EngineMode::Levelized,
+        EngineMode::Constructive,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        hopper.set_engine(mode);
+        for m in [&mut hopper, &mut twin] {
+            m.react_with(&[("I", Value::Bool(true))])
+                .expect_err("I present closes the cycle");
+            let r = m.react().expect("the next instant converges");
+            assert!(r.present("O"), "step {step} ({mode})");
+        }
+        assert_eq!(
+            hopper.state_digest(),
+            twin.state_digest(),
+            "step {step} ({mode})"
+        );
+    }
+}
+
+#[test]
 fn explicit_engine_requests_are_honored_on_acyclic_circuits() {
     for mode in [
         EngineMode::Levelized,
         EngineMode::Constructive,
-        EngineMode::Naive,
-        EngineMode::Hybrid,
+        EngineMode::Sparse,
     ] {
         let mut m = abro();
         assert_eq!(m.set_engine(mode), mode);
@@ -140,4 +168,72 @@ fn levelized_reports_its_engine_in_reaction_stats() {
     let text = buf.text();
     assert!(text.contains("\"engine\":\"levelized\""), "{text}");
     assert!(text.contains("\"engine\":\"constructive\""), "{text}");
+}
+
+#[test]
+fn pre_reads_in_data_expressions_see_this_instant_on_cyclic_circuits() {
+    // `S.pre && V.nowval > 0` is a data test, not a wire: it reads S's
+    // pre-register net through the expression environment, with no edge
+    // to it. Inside a trap the test feeds the trap's exit, created
+    // before S, so the condensation order reaches the test before S's
+    // register output; the cycle beside it puts the circuit on that
+    // order, and the walker must still sweep the register output first.
+    let ring = Stmt::loop_(Stmt::seq([
+        Stmt::local(
+            vec![
+                SignalDecl::new("X", Direction::Local),
+                SignalDecl::new("Y", Direction::Local),
+            ],
+            Stmt::par([
+                Stmt::if_(Expr::now("Y").or(Expr::now("Y").not()), Stmt::emit("X")),
+                Stmt::if_(Expr::now("X").and(Expr::now("I")), Stmt::emit("Y")),
+            ]),
+        ),
+        Stmt::Pause,
+    ]));
+    let watcher = Stmt::loop_(Stmt::seq([
+        Stmt::trap(
+            "L",
+            Stmt::local(
+                vec![SignalDecl::new("S", Direction::Local)],
+                Stmt::loop_(Stmt::seq([
+                    Stmt::if_(Expr::now("A"), Stmt::emit("S")),
+                    Stmt::if_(
+                        Expr::pre("S").and(Expr::nowval("V").gt(Expr::num(0.0))),
+                        Stmt::seq([Stmt::emit("T"), Stmt::exit("L")]),
+                    ),
+                    Stmt::Pause,
+                ])),
+            ),
+        ),
+        Stmt::Pause,
+    ]));
+    let module = Module::new("PRE")
+        .input(SignalDecl::new("I", Direction::In))
+        .input(SignalDecl::new("A", Direction::In))
+        .input(SignalDecl::new("V", Direction::In))
+        .output(SignalDecl::new("T", Direction::Out))
+        .body(Stmt::par([ring, watcher]));
+    let run = |mode: EngineMode| {
+        let mut m = machine_for(&module, &ModuleRegistry::new()).expect("compiles");
+        assert!(m.levelization().is_none(), "the ring is a static cycle");
+        m.set_engine(mode);
+        let a = || ("A", Value::Bool(true));
+        let v = |x: f64| ("V", Value::Num(x));
+        let mut trace = Vec::new();
+        for inputs in [
+            vec![],
+            vec![a()],
+            vec![v(1.0)],
+            vec![a()],
+            vec![a(), v(2.0)],
+            vec![v(3.0)],
+        ] {
+            trace.push(m.react_with(&inputs).expect("reaction").present("T"));
+        }
+        trace
+    };
+    let reference = run(EngineMode::Constructive);
+    assert_eq!(reference, [false, false, true, false, true, false]);
+    assert_eq!(run(EngineMode::Levelized), reference);
 }

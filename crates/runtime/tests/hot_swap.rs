@@ -101,12 +101,12 @@ fn hot_swap_rebuilds_the_levelized_schedule() {
     m.react().unwrap();
     m.react_with(&[("inc", Value::Bool(true))]).unwrap();
 
-    // Acyclic → cyclic: the schedule is gone, the engine resolution
-    // falls back to the hybrid engine for the swapped circuit.
+    // Acyclic → cyclic: the level schedule is gone; the walker runs the
+    // swapped circuit's SCC-condensed schedule instead.
     let c2 = compile_module(&cyclic_module(), &ModuleRegistry::new()).unwrap();
     assert!(c2.levels.is_none(), "the swapped-in circuit is cyclic");
     m.hot_swap(c2.circuit).expect("finalized circuit");
-    assert_eq!(m.engine(), EngineMode::Hybrid);
+    assert_eq!(m.engine(), EngineMode::Levelized);
     assert!(m.levelization().is_none());
     m.react().unwrap();
 
@@ -125,11 +125,18 @@ fn hot_swap_rebuilds_the_levelized_schedule() {
 fn explicit_engine_request_survives_hot_swap() {
     let c1 = compile_module(&counter_module(1.0), &ModuleRegistry::new()).unwrap();
     let mut m = Machine::new(c1.circuit).expect("finalized circuit");
-    assert_eq!(m.set_engine(EngineMode::Naive), EngineMode::Naive);
+    assert_eq!(
+        m.set_engine(EngineMode::Constructive),
+        EngineMode::Constructive
+    );
     m.react().unwrap();
     let c2 = compile_module(&counter_module(10.0), &ModuleRegistry::new()).unwrap();
     m.hot_swap(c2.circuit).expect("finalized circuit");
-    assert_eq!(m.engine(), EngineMode::Naive, "the request is sticky");
+    assert_eq!(
+        m.engine(),
+        EngineMode::Constructive,
+        "the request is sticky"
+    );
     m.react().unwrap();
     m.react_with(&[("inc", Value::Bool(true))]).unwrap();
     assert_eq!(m.nowval("count"), Value::Num(10.0));

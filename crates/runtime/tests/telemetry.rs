@@ -191,7 +191,7 @@ fn causality_report_names_the_cycle_signal() {
 fn causality_failure_reaches_the_sinks() {
     // An *input-dependent* cycle passes the static analysis but
     // deadlocks at runtime when `I` is present — the failure flows
-    // through the hybrid engine's per-SCC causality check to the sinks.
+    // through the block walker's per-SCC causality check to the sinks.
     let body = Stmt::local(
         vec![
             SignalDecl::new("X", Direction::Local),

@@ -563,7 +563,6 @@ mod tests {
         for mode in [
             EngineMode::Levelized,
             EngineMode::Constructive,
-            EngineMode::Hybrid,
             EngineMode::Sparse,
         ] {
             let forced = run_with(

@@ -11,7 +11,7 @@
 //
 // The static analyzer classifies the cycle as input-dependent (it cannot
 // see that exactly one token is always present), so the machine runs it
-// with the hybrid engine: levelized sweeps everywhere, bounded
+// with the block walker: levelized sweeps everywhere, bounded
 // constructive iteration inside this one SCC.
 //
 // Try:

@@ -18,7 +18,7 @@
 //!    plus rollback is observationally a no-op.
 //!
 //! The sweep width defaults to 100 fault sequences (each run under all
-//! five engines — levelized, constructive, naive, hybrid and sparse)
+//! three engines — levelized, constructive and sparse)
 //! and widens via `HIPHOP_CHAOS_SEEDS`, mirroring
 //! `HIPHOP_PROPTEST_SEEDS`.
 //!
@@ -80,8 +80,6 @@ fn chaos_faults_roll_back_and_never_diverge() {
         for mode in [
             EngineMode::Levelized,
             EngineMode::Constructive,
-            EngineMode::Naive,
-            EngineMode::Hybrid,
             EngineMode::Sparse,
         ] {
             let build = || {

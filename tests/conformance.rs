@@ -2,8 +2,8 @@
 //!
 //! Each case is a compact `.hh` program plus the expected set of present
 //! outputs at every instant (instant 0 is the boot reaction). Every case
-//! runs under all five compiled engines (levelized, constructive, naive,
-//! hybrid, sparse) AND the reference AST interpreter; the expectation
+//! runs under all three compiled engines (the levelized block walker, the
+//! constructive reference, sparse) AND the reference AST interpreter; the expectation
 //! table is the semantic oracle, so a divergence pinpoints both the
 //! construct and the engine that got it wrong.
 //!
@@ -56,13 +56,7 @@ fn check(case: &KernelCase) {
     let (module, registry) = parse_program(case.src, "Main", &HostRegistry::new())
         .unwrap_or_else(|e| panic!("{name}: parse: {e}"));
 
-    for mode in [
-        EngineMode::Levelized,
-        EngineMode::Constructive,
-        EngineMode::Naive,
-        EngineMode::Hybrid,
-        EngineMode::Sparse,
-    ] {
+    for mode in [EngineMode::Levelized, EngineMode::Constructive, EngineMode::Sparse] {
         let mut m = machine_for(&module, &registry)
             .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
         assert_eq!(

@@ -8,7 +8,7 @@
 //! that never stopped. Four angles:
 //!
 //! 1. **Seeded snapshot/restore sweep.** Random synthetic programs
-//!    driven under every engine (levelized/hybrid/constructive/sparse) ×
+//!    driven under every engine (levelized/constructive/sparse) ×
 //!    cohort mode (off/u64/wide) × shard count (1/3/8), checkpointed
 //!    mid-run, restored onto a *different* shard count, and driven in
 //!    lockstep with the undisturbed pool: every post-restore tick must
@@ -25,6 +25,10 @@
 //!    activity must keep its attempt count, its remaining backoff
 //!    delay, and its jitter RNG position — proven by lockstep digests
 //!    against an unmigrated control pool.
+//! 5. **Old engine tags.** Checked-in snapshots (`tests/fixtures/`)
+//!    written by the five-engine runtime, tagged `levelized`, `hybrid`
+//!    and `naive`, restore onto today's engines and keep replaying
+//!    digest-for-digest with a machine that never stopped.
 
 use hiphop_bench::synthetic_program;
 use hiphop_compiler::compile_module;
@@ -96,7 +100,6 @@ fn snapshot_restore_is_digest_transparent_across_engines_cohorts_and_shards() {
     let cohorts = [None, Some(CohortWidth::U64), Some(CohortWidth::Wide)];
     let engines = [
         EngineMode::Levelized,
-        EngineMode::Hybrid,
         EngineMode::Constructive,
         // Sparse carries an incremental baseline across ticks that is
         // deliberately absent from the wire format: the restored twin
@@ -381,4 +384,103 @@ fn migration_mid_retry_preserves_backoff_and_attempt_state() {
         }
     }
     assert!(resolved_at.is_some(), "the migrated activity completed");
+}
+
+/// The per-instant inputs of session `session` in the snapshot fixtures
+/// (`tests/fixtures/snapshot_*.jsonl`), which were captured after
+/// instants 0..6 of `synthetic_program(40, 0x5EED)` under these inputs.
+fn fixture_inputs(session: u64, instant: u64) -> Vec<(String, Value)> {
+    let mut rng = Rng::seed_from_u64(0xF1C5 ^ session.wrapping_mul(0x9E3779B97F4A7C15) ^ instant);
+    let mut inputs = Vec::new();
+    for k in 0..8 {
+        if rng.gen_bool(0.4) {
+            inputs.push((format!("i{k}"), Value::from(rng.gen_range(0i64..5))));
+        }
+    }
+    inputs
+}
+
+fn fixture_machine() -> Machine {
+    let module = synthetic_program(40, 0x5EED);
+    let compiled = compile_module(&module, &ModuleRegistry::new()).expect("compiles");
+    Machine::new(compiled.circuit).expect("finalized circuit")
+}
+
+fn react_fixture(m: &mut Machine, session: u64, instant: u64) {
+    let inputs = fixture_inputs(session, instant);
+    let refs: Vec<(&str, Value)> = inputs
+        .iter()
+        .map(|(n, v)| (n.as_str(), v.clone()))
+        .collect();
+    m.react_with(&refs).expect("reaction");
+}
+
+#[test]
+fn snapshots_with_retired_engine_tags_restore_and_keep_replaying() {
+    const CAPTURED: u64 = 6;
+    for (tag, text, resolved) in [
+        (
+            "levelized",
+            include_str!("fixtures/snapshot_levelized.jsonl"),
+            EngineMode::Levelized,
+        ),
+        (
+            "hybrid",
+            include_str!("fixtures/snapshot_hybrid.jsonl"),
+            EngineMode::Levelized,
+        ),
+        (
+            "naive",
+            include_str!("fixtures/snapshot_naive.jsonl"),
+            EngineMode::Constructive,
+        ),
+    ] {
+        let snap = PoolSnapshot::from_jsonl(text).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert_eq!(snap.sessions.len(), 2, "{tag}");
+        for s in &snap.sessions {
+            assert_eq!(
+                s.machine.engine.as_deref(),
+                Some(tag),
+                "the fixture carries the old tag"
+            );
+            let mut restored = fixture_machine();
+            restored
+                .restore(&s.machine)
+                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(restored.engine(), resolved, "{tag} resolves to {resolved}");
+            assert_eq!(
+                hiphop_runtime::snapshot::digest_of(&restored.state_digest()),
+                s.digest,
+                "{tag}: digest at restore"
+            );
+            // A machine that never stopped, on the default engine.
+            let mut reference = fixture_machine();
+            for instant in 0..CAPTURED {
+                react_fixture(&mut reference, s.session, instant);
+            }
+            assert_eq!(
+                reference.state_digest(),
+                restored.state_digest(),
+                "{tag}: at capture"
+            );
+            for instant in CAPTURED..CAPTURED + 10 {
+                react_fixture(&mut reference, s.session, instant);
+                react_fixture(&mut restored, s.session, instant);
+                assert_eq!(
+                    reference.state_digest(),
+                    restored.state_digest(),
+                    "{tag}: session {} diverged at instant {instant}",
+                    s.session
+                );
+            }
+            // Re-captured, the request carries today's name.
+            assert_eq!(restored.snapshot().engine.as_deref(), Some(resolved.name()));
+        }
+
+        // The pool path verifies every session's digest hash on restore.
+        let mut pool = SessionPool::new(2, 10, |_| Ok(fixture_machine()));
+        pool.restore(&snap)
+            .unwrap_or_else(|e| panic!("{tag}: pool restore: {e}"));
+        assert_eq!(pool.ticks(), CAPTURED, "{tag}");
+    }
 }

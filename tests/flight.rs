@@ -14,8 +14,14 @@
 //! 3. **Escaping.** Hostile strings (quotes, backslashes, control
 //!    characters, non-ASCII) pushed through the JSONL sink still
 //!    produce valid JSON lines.
+//! 4. **Hostile nesting.** A document of nothing but `[` is refused with
+//!    an error naming the byte offset by the parser, snapshot decode and
+//!    journal decode alike, instead of overflowing the stack.
 
-use hiphop_runtime::{chrome_trace, Json, RecorderConfig, ReplayOptions, SpanKind};
+use hiphop_runtime::flight::JSON_MAX_DEPTH;
+use hiphop_runtime::{
+    chrome_trace, Json, PoolSnapshot, RecorderConfig, Recording, ReplayOptions, SpanKind,
+};
 use hiphop_skini::concert::{self, scenario_metadata};
 use hiphop_skini::{ConcertConfig, ConcertRunOptions};
 
@@ -322,4 +328,23 @@ fn scenario_metadata_survives_the_wire_format() {
         parsed.scenario.get("chaos_rate").map(String::as_str),
         Some("0.25")
     );
+}
+
+#[test]
+fn hostile_nesting_is_refused_with_an_error_not_a_stack_overflow() {
+    let hostile = "[".repeat(200_000);
+    let err = Json::parse(&hostile).expect_err("nesting past the limit is refused");
+    assert!(err.contains(&format!("at byte {JSON_MAX_DEPTH}")), "{err}");
+    let err = PoolSnapshot::from_jsonl(&hostile).expect_err("snapshot decode refuses");
+    assert!(err.to_string().contains("at byte"), "{err}");
+    let err = Recording::from_jsonl(&hostile).expect_err("journal decode refuses");
+    assert!(err.contains("at byte"), "{err}");
+    // Objects count toward the same limit, and the limit itself parses.
+    assert!(Json::parse(&"{\"k\":".repeat(200_000)).is_err());
+    let deepest = format!(
+        "{}{}",
+        "[".repeat(JSON_MAX_DEPTH),
+        "]".repeat(JSON_MAX_DEPTH)
+    );
+    assert!(Json::parse(&deepest).is_ok());
 }

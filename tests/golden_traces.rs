@@ -1,5 +1,5 @@
 //! Golden-trace regression tests: the coarse JSONL trace of each `.hh`
-//! example is pinned in `tests/golden/` and replayed under all five
+//! example is pinned in `tests/golden/` and replayed under all three
 //! evaluation engines. The traces must agree **byte for byte** after
 //! normalization, which strips exactly the engine-dependent fields of
 //! `reaction_end` (the engine tag, wall-clock duration, event count and
@@ -105,12 +105,7 @@ fn engines_replay_the_golden_traces_byte_for_byte() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     for example in EXAMPLES {
         let levelized = trace(example, EngineMode::Levelized);
-        for mode in [
-            EngineMode::Constructive,
-            EngineMode::Naive,
-            EngineMode::Hybrid,
-            EngineMode::Sparse,
-        ] {
+        for mode in [EngineMode::Constructive, EngineMode::Sparse] {
             assert_eq!(
                 trace(example, mode),
                 levelized,
@@ -216,12 +211,7 @@ fn supervised_abort_replays_identically_across_engines() {
         !levelized.contains("\"name\":\"gotit\",\"present\":true"),
         "the activity never completed: {levelized}"
     );
-    for mode in [
-        EngineMode::Constructive,
-        EngineMode::Naive,
-        EngineMode::Hybrid,
-        EngineMode::Sparse,
-    ] {
+    for mode in [EngineMode::Constructive, EngineMode::Sparse] {
         assert_eq!(
             supervised_abort_trace(mode),
             levelized,
@@ -243,9 +233,9 @@ fn supervised_abort_replays_identically_across_engines() {
 
 /// Replays the token-ring arbiter — cyclic but constructive at every
 /// reachable instant — under `mode` and returns the normalized coarse
-/// trace. The circuit's pass chain is a real combinational cycle, so
-/// there is no levelized baseline: Hybrid (the default resolution for
-/// cyclic circuits) is the reference.
+/// trace. The circuit's pass chain is a real combinational cycle, so the
+/// walker runs its SCC-condensed schedule: dense blocks plus one cyclic
+/// block iterated to its local fixpoint.
 fn cyclic_arbiter_trace(mode: EngineMode) -> String {
     let source = include_str!("../examples/hh/cyclic_arbiter.hh");
     let (module, registry) =
@@ -255,9 +245,13 @@ fn cyclic_arbiter_trace(mode: EngineMode) -> String {
     let mut machine = Machine::new(compiled.circuit).expect("input-dependent, not rejected");
     let resolved = machine.set_engine(mode);
     if mode == EngineMode::Sparse {
-        // No levelized schedule exists for a cyclic circuit: the sparse
-        // request degrades to the hybrid resolution.
-        assert_eq!(resolved, EngineMode::Hybrid, "sparse falls back on cycles");
+        // No level schedule exists for a cyclic circuit: the sparse
+        // request degrades to the walker.
+        assert_eq!(
+            resolved,
+            EngineMode::Levelized,
+            "sparse falls back on cycles"
+        );
     } else {
         assert_eq!(resolved, mode, "every cycle-capable engine is available");
     }
@@ -282,37 +276,33 @@ fn cyclic_arbiter_trace(mode: EngineMode) -> String {
 #[test]
 fn cyclic_arbiter_replays_identically_across_engines() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
-    let hybrid = cyclic_arbiter_trace(EngineMode::Hybrid);
+    let walker = cyclic_arbiter_trace(EngineMode::Levelized);
     // The arbiter actually arbitrates: every station is granted somewhere
     // in the stimulus, and grants reach the trace as present outputs.
     for g in ["G1", "G2", "G3"] {
         assert!(
-            hybrid.contains(&format!("{{\"name\":\"{g}\",\"present\":true")),
-            "{g} is granted somewhere: {hybrid}"
+            walker.contains(&format!("{{\"name\":\"{g}\",\"present\":true")),
+            "{g} is granted somewhere: {walker}"
         );
     }
-    // Sparse has no levelized schedule on a cyclic circuit and must
-    // fall back to the hybrid resolution — still byte-identical.
-    for mode in [
-        EngineMode::Constructive,
-        EngineMode::Naive,
-        EngineMode::Sparse,
-    ] {
+    // Sparse has no level schedule on a cyclic circuit and must fall
+    // back to the walker — still byte-identical.
+    for mode in [EngineMode::Constructive, EngineMode::Sparse] {
         assert_eq!(
             cyclic_arbiter_trace(mode),
-            hybrid,
-            "cyclic_arbiter: {mode} trace diverges from hybrid"
+            walker,
+            "cyclic_arbiter: {mode} trace diverges from the walker"
         );
     }
     let path = golden_path("cyclic_arbiter");
     if update {
-        std::fs::write(&path, &hybrid).expect("write golden");
+        std::fs::write(&path, &walker).expect("write golden");
         return;
     }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cyclic_arbiter: no golden file ({e}); run with UPDATE_GOLDEN=1"));
     assert_eq!(
-        hybrid, golden,
+        walker, golden,
         "cyclic_arbiter: trace drifted from tests/golden/cyclic_arbiter.jsonl (UPDATE_GOLDEN=1 regenerates)"
     );
 }
@@ -371,12 +361,7 @@ fn golden_traces_exercise_the_interesting_behaviour() {
 fn assert_app_golden(name: &str, trace_of: impl Fn(EngineMode) -> String) {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let levelized = trace_of(EngineMode::Levelized);
-    for mode in [
-        EngineMode::Constructive,
-        EngineMode::Naive,
-        EngineMode::Hybrid,
-        EngineMode::Sparse,
-    ] {
+    for mode in [EngineMode::Constructive, EngineMode::Sparse] {
         assert_eq!(
             trace_of(mode),
             levelized,

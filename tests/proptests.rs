@@ -20,7 +20,7 @@
 use hiphop::compiler::{compile_module_with, CompileOptions};
 use hiphop::prelude::*;
 use hiphop::runtime::EngineMode;
-use hiphop_bench::synthetic_program;
+use hiphop_bench::{cyclic_program, synthetic_program};
 use hiphop_core::rng::Rng;
 
 /// Runs `f` over `n` deterministic cases; each case gets its own
@@ -271,11 +271,49 @@ fn observable_trace(
     trace
 }
 
+/// [`observable_trace`] of a compiled machine.
+fn machine_trace(m: &mut Machine, schedule: &[Vec<(String, Value)>]) -> Vec<String> {
+    observable_trace(schedule, |refs| {
+        m.react_with(refs)
+            .map(|r| {
+                r.outputs
+                    .iter()
+                    .map(|o| format!("{}={}:{}", o.name, o.present as u8, o.value))
+                    .collect()
+            })
+            .map_err(|e| match e {
+                RuntimeError::Causality { .. } => "causality".to_owned(),
+                other => other.to_string(),
+            })
+    })
+}
+
+/// [`observable_trace`] of the reference AST interpreter.
+fn interp_trace(
+    interp: &mut hiphop_interp::Interp,
+    schedule: &[Vec<(String, Value)>],
+) -> Vec<String> {
+    observable_trace(schedule, |refs| {
+        interp
+            .react_with(refs)
+            .map(|r| {
+                r.outputs
+                    .iter()
+                    .map(|(n, p, v)| format!("{n}={}:{v}", *p as u8))
+                    .collect()
+            })
+            .map_err(|e| match e {
+                hiphop_interp::InterpError::Causality(_) => "causality".to_owned(),
+                other => other.to_string(),
+            })
+    })
+}
+
 #[test]
 fn all_engines_agree_with_the_interpreter() {
     // The tentpole meta-theorem: every generated program produces
     // identical per-reaction output sets and identical causality
-    // verdicts under the levelized, constructive and naive engines AND
+    // verdicts under the levelized, constructive and sparse engines AND
     // the reference AST interpreter.
     cases(sweep_seeds(), |rng, seed| {
         let size = rng.gen_range(10usize..100);
@@ -291,45 +329,16 @@ fn all_engines_agree_with_the_interpreter() {
                 mode,
                 "seed {seed}: synthetic programs are acyclic, every engine is available"
             );
-            observable_trace(&schedule, |refs| {
-                m.react_with(refs)
-                    .map(|r| {
-                        r.outputs
-                            .iter()
-                            .map(|o| format!("{}={}:{}", o.name, o.present as u8, o.value))
-                            .collect()
-                    })
-                    .map_err(|e| match e {
-                        RuntimeError::Causality { .. } => "causality".to_owned(),
-                        other => other.to_string(),
-                    })
-            })
+            machine_trace(&mut m, &schedule)
         };
 
-        let reference = {
-            let mut interp = hiphop_interp::Interp::new(&module, &ModuleRegistry::new())
-                .unwrap_or_else(|e| panic!("seed {seed}: interp: {e}"));
-            observable_trace(&schedule, |refs| {
-                interp
-                    .react_with(refs)
-                    .map(|r| {
-                        r.outputs
-                            .iter()
-                            .map(|(n, p, v)| format!("{n}={}:{v}", *p as u8))
-                            .collect()
-                    })
-                    .map_err(|e| match e {
-                        hiphop_interp::InterpError::Causality(_) => "causality".to_owned(),
-                        other => other.to_string(),
-                    })
-            })
-        };
+        let mut interp = hiphop_interp::Interp::new(&module, &ModuleRegistry::new())
+            .unwrap_or_else(|e| panic!("seed {seed}: interp: {e}"));
+        let reference = interp_trace(&mut interp, &schedule);
 
         for mode in [
             EngineMode::Levelized,
             EngineMode::Constructive,
-            EngineMode::Naive,
-            EngineMode::Hybrid,
             EngineMode::Sparse,
         ] {
             assert_eq!(
@@ -338,6 +347,53 @@ fn all_engines_agree_with_the_interpreter() {
                 "seed {seed}: {mode} disagrees with the interpreter"
             );
         }
+    });
+}
+
+#[test]
+fn cyclic_programs_agree_with_the_constructive_reference() {
+    // Generated programs with a genuine combinational cycle: the
+    // synthetic body in parallel with a token-ring arbiter
+    // (`hiphop_bench::cyclic_program`). The walker sweeps the acyclic
+    // regions once and iterates the ring as a cyclic block, resetting
+    // only the ring's members each instant; it must match the
+    // whole-circuit constructive FIFO on every instant.
+    cases(sweep_seeds(), |rng, seed| {
+        let size = rng.gen_range(10usize..80);
+        let module = cyclic_program(size, seed);
+        let schedule = input_schedule(seed ^ 7, 25);
+        let engine_trace = |mode: EngineMode| {
+            let c = compile_module_with(&module, &ModuleRegistry::new(), CompileOptions::default())
+                .expect("compiles");
+            assert!(
+                c.levels.is_none(),
+                "seed {seed}: the ring is a static cycle"
+            );
+            let mut m = Machine::new(c.circuit).expect("input-dependent cycle, not rejected");
+            assert_eq!(m.set_engine(mode), mode, "seed {seed}");
+            machine_trace(&mut m, &schedule)
+        };
+        let walker = engine_trace(EngineMode::Levelized);
+        assert!(
+            walker.iter().all(|t| !t.starts_with("<error")),
+            "seed {seed}: the ring is constructive at every instant: {walker:?}"
+        );
+        assert_eq!(
+            engine_trace(EngineMode::Constructive),
+            walker,
+            "seed {seed}: the constructive reference disagrees with the walker"
+        );
+        // The interpreter accepts the program but decides undetermined
+        // signals by speculating absence, which cannot settle the ring:
+        // it declines the first instant with a causality verdict, so the
+        // constructive engine is the oracle for cyclic programs.
+        let mut interp = hiphop_interp::Interp::new(&module, &ModuleRegistry::new())
+            .unwrap_or_else(|e| panic!("seed {seed}: interp: {e}"));
+        assert_eq!(
+            interp_trace(&mut interp, &schedule)[0],
+            "<error: causality>",
+            "seed {seed}: the interpreter's verdict on the ring changed"
+        );
     });
 }
 
@@ -376,8 +432,6 @@ fn fact_driven_shrinking_preserves_behavior_under_every_engine() {
         for mode in [
             EngineMode::Levelized,
             EngineMode::Constructive,
-            EngineMode::Naive,
-            EngineMode::Hybrid,
             EngineMode::Sparse,
         ] {
             assert_eq!(
@@ -386,25 +440,6 @@ fn fact_driven_shrinking_preserves_behavior_under_every_engine() {
                 "seed {seed}: the fact shrink changes behavior under {mode}"
             );
         }
-    });
-}
-
-#[test]
-fn naive_and_event_driven_engines_agree() {
-    cases(16, |rng, seed| {
-        // The O(n²) sweep engine is an independent implementation of the
-        // constructive fixpoint; both engines must produce identical
-        // observable traces on the same circuit.
-        let size = rng.gen_range(10usize..100);
-        let module = synthetic_program(size, seed);
-        let run = |naive: bool| {
-            let c = compile_module_with(&module, &ModuleRegistry::new(), CompileOptions::default())
-                .expect("compiles");
-            let mut m = Machine::new(c.circuit).expect("finalized circuit");
-            m.set_naive(naive);
-            drive(&mut m, seed ^ 4, 25)
-        };
-        assert_eq!(run(false), run(true), "seed {seed}");
     });
 }
 

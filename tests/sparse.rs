@@ -11,11 +11,12 @@
 //!   stale it — `reset`, snapshot `restore`, `hot_swap`, and instants
 //!   executed by another engine;
 //! * engine selection: the sparse request survives a hot swap and
-//!   degrades to hybrid on cyclic circuits;
-//! * [`LevelActivity`] counters are honest — hybrid SCC blocks report
-//!   the nets they actually evaluated (cross-checked against the
-//!   coarse trace's event counts), and levels the sparse sweep skips
-//!   report exactly 0.
+//!   degrades to the block walker on cyclic circuits;
+//! * [`LevelActivity`] counters are honest — the walker's SCC blocks
+//!   report the nets they actually evaluated (cross-checked against the
+//!   coarse trace's event counts), its dense sweeps book each net to its
+//!   level exactly as the sparse rebuild sweep does, and levels the
+//!   sparse sweep skips report exactly 0.
 
 use hiphop::lang::{parse_program, HostRegistry};
 use hiphop::runtime::telemetry::shared;
@@ -323,8 +324,8 @@ fn sparse_request_degrades_to_hybrid_on_cyclic_circuits() {
     let mut m = machine_for(&module, &registry).expect("compiles");
     assert_eq!(
         m.set_engine(EngineMode::Sparse),
-        EngineMode::Hybrid,
-        "no levelized schedule exists for a static cycle"
+        EngineMode::Levelized,
+        "no level schedule exists for a static cycle"
     );
     m.react().expect("the fallback engine runs the instant");
 }
@@ -346,15 +347,15 @@ fn trace_events(text: &str) -> u64 {
 #[test]
 fn hybrid_level_activity_matches_the_real_event_counts() {
     // The token-ring arbiter's circuit carries a genuine SCC, so the
-    // hybrid schedule mixes dense and cyclic blocks. The cyclic blocks
-    // iterate to a fixpoint — their true eval count is whatever the
-    // FIFO actually performed, not the block's span. The coarse trace's
-    // per-reaction `events` field is the ground truth.
+    // walker's (hybrid) schedule mixes dense and cyclic blocks. The
+    // cyclic blocks iterate to a fixpoint — their true eval count is
+    // whatever the iteration actually performed, not the block's span.
+    // The coarse trace's per-reaction `events` field is the ground truth.
     let source = include_str!("../examples/hh/cyclic_arbiter.hh");
     let (module, registry) =
         parse_program(source, "CyclicArbiter", &HostRegistry::new()).expect("parses");
     let mut m = machine_for(&module, &registry).expect("compiles");
-    assert_eq!(m.set_engine(EngineMode::Hybrid), EngineMode::Hybrid);
+    assert_eq!(m.set_engine(EngineMode::Levelized), EngineMode::Levelized);
     m.enable_level_activity();
     let (sink, buf) = JsonlSink::buffered();
     m.attach_sink(shared(sink.coarse()));
@@ -394,4 +395,46 @@ fn sparse_level_activity_matches_the_real_event_counts() {
         trace_events(&buf.text()),
         "sparse activity must sum to the events the sweep performed"
     );
+}
+
+#[test]
+fn walker_books_each_level_like_the_sparse_rebuild_sweep() {
+    // The walker runs an acyclic circuit as one dense block; its
+    // activity must still land on the level each net sits at, exactly
+    // as the sparse engine's full rebuild sweep books it net by net.
+    let module = hiphop_bench::synthetic_program(120, 3);
+    let mut walker = machine(&module, EngineMode::Levelized);
+    let mut sparse = machine(&module, EngineMode::Sparse);
+    walker.enable_level_activity();
+    sparse.enable_level_activity();
+    for step in 0..12i64 {
+        // A restore invalidates the sparse baseline, so every sparse
+        // instant is a full rebuild sweep.
+        let snap = sparse.snapshot();
+        sparse.restore(&snap).expect("restore");
+        let inputs: Vec<(String, Value)> = (0..8i64)
+            .filter(|k| (step + k) % 3 == 0)
+            .map(|k| (format!("i{k}"), Value::from(step)))
+            .collect();
+        let refs: Vec<(&str, Value)> = inputs
+            .iter()
+            .map(|(n, v)| (n.as_str(), v.clone()))
+            .collect();
+        walker.react_with(&refs).expect("walker reacts");
+        sparse.react_with(&refs).expect("sparse reacts");
+        assert_eq!(walker.state_digest(), sparse.state_digest(), "step {step}");
+    }
+    let (levels, _) = walker
+        .levelization()
+        .expect("synthetic programs are acyclic");
+    let lw = walker.level_activity().expect("armed");
+    let ls = sparse.level_activity().expect("armed");
+    assert_eq!(lw.evals.len(), levels);
+    assert!(
+        lw.evals.iter().all(|&e| e > 0),
+        "every level holds nets and is booked: {:?}",
+        lw.evals
+    );
+    assert_eq!(lw.evals, ls.evals, "per-level evals");
+    assert_eq!(lw.changed, ls.changed, "per-level flips");
 }
