@@ -16,7 +16,7 @@ TOTAL=$(printf '%s\n' "$TEST_OUT" \
 echo "    workspace test count: $TOTAL"
 # Regression guard: the suite only ever grows. Raise the floor when
 # you add tests; never lower it.
-MIN_TESTS=576
+MIN_TESTS=579
 if [ "$TOTAL" -lt "$MIN_TESTS" ]; then
     echo "ci: workspace test count regressed below $MIN_TESTS (got $TOTAL)" >&2
     exit 1
@@ -85,11 +85,11 @@ HIPHOP_PROPTEST_SEEDS="$HIPHOP_PROPTEST_SEEDS" \
 # Fact-driven schedule-shrinking differential gate: with and without the
 # inter-instant dataflow shrink, generated programs must produce
 # identical observable traces under all three engines (tests/proptests.rs)
-# and under both bit-parallel cohort widths (tests/cohort.rs). Any
+# and under the bit-parallel cohort sweep (tests/cohort.rs). Any
 # unsound abstract-interpretation fact folds a live net and fails here.
-echo "==> fact-shrinking differential gate (3 engines + both cohort widths)"
+echo "==> fact-shrinking differential gate (3 engines + cohort sweep)"
 cargo test -q --offline --test proptests -- fact_driven_shrinking_preserves_behavior_under_every_engine
-cargo test -q --offline --test cohort -- fact_shrunk_circuits_match_unshrunk_outputs_under_both_widths
+cargo test -q --offline --test cohort -- fact_shrunk_circuits_match_unshrunk_outputs_in_cohorts
 
 # Widened chaos differential sweep: each seeded fault schedule runs a
 # chaotic machine against a fault-free shadow under every engine;
@@ -101,8 +101,8 @@ echo "==> chaos fault-injection sweep (${HIPHOP_CHAOS_SEEDS} seeds)"
 HIPHOP_CHAOS_SEEDS="$HIPHOP_CHAOS_SEEDS" \
     cargo test -q --offline --test chaos
 
-# Cohort differential battery: generated programs run bit-packed
-# (u64 and wide lanes) against a scalar shadow pool; every instant's
+# Cohort differential battery: generated programs run bit-packed (32
+# sessions per u64 lane word) against a scalar shadow pool; every instant's
 # outputs and every session's state digest must be bit-identical, with
 # forced peels (action faults) mid-cohort (tests/cohort.rs). Override the
 # seed count with HIPHOP_COHORT_SEEDS=N ./ci.sh.
@@ -137,18 +137,16 @@ echo "    serve: $REACTIONS reactions across 4 shards"
 # The same deterministic serve run bit-packed: the cohort engine must
 # report the identical pool digest (lockstep execution is an engine
 # detail, never an observable one).
-echo "==> cohort serve smoke (same run, --cohort u64 / wide)"
+echo "==> cohort serve smoke (same run, --cohort)"
 SCALAR_DIGEST=$(printf '%s' "$SERVE_JSON" | grep -o '"digest":"[0-9a-f]*"' | head -1)
-for wdt in u64 wide; do
-    COHORT_JSON=$(./target/release/hiphopc serve --sessions 64 --shards 4 --ticks 8 \
-        --cohort "$wdt" 2>/dev/null)
-    COHORT_DIGEST=$(printf '%s' "$COHORT_JSON" | grep -o '"digest":"[0-9a-f]*"' | head -1)
-    if [ -z "$COHORT_DIGEST" ] || [ "$COHORT_DIGEST" != "$SCALAR_DIGEST" ]; then
-        echo "ci: cohort($wdt) serve digest diverged: $COHORT_DIGEST vs $SCALAR_DIGEST" >&2
-        exit 1
-    fi
-    echo "    cohort $wdt: digest matches scalar"
-done
+COHORT_JSON=$(./target/release/hiphopc serve --sessions 64 --shards 4 --ticks 8 \
+    --cohort 2>/dev/null)
+COHORT_DIGEST=$(printf '%s' "$COHORT_JSON" | grep -o '"digest":"[0-9a-f]*"' | head -1)
+if [ -z "$COHORT_DIGEST" ] || [ "$COHORT_DIGEST" != "$SCALAR_DIGEST" ]; then
+    echo "ci: cohort serve digest diverged: $COHORT_DIGEST vs $SCALAR_DIGEST" >&2
+    exit 1
+fi
+echo "    cohort: digest matches scalar"
 
 # Sparse differential serve gate: the same deterministic serve run with
 # every session forced onto the sparse incremental engine must report
@@ -199,11 +197,11 @@ echo "    replay: $REPLAY_JSON"
 
 # Durability gate: the same chaos scenario served with checkpointing and
 # the rebalancer armed, then "crashed" and recovered from the last
-# checkpoint plus the journal suffix on a DIFFERENT shard count — under
-# both cohort modes, since snapshots are execution-mode-agnostic. The
+# checkpoint plus the journal suffix on a DIFFERENT shard count — on a
+# scalar and on a cohort pool, since snapshots are execution-mode-agnostic. The
 # rebalanced run must also report the exact digest of the plain run
 # above (live migration is pure placement, never semantics).
-echo "==> durability gate: checkpoint → crash → anchored recovery (both cohort modes)"
+echo "==> durability gate: checkpoint → crash → anchored recovery (scalar and cohort)"
 DUR_JSON=$(./target/release/hiphopc serve --sessions 64 --shards 4 --ticks 16 --seed 7 \
     --chaos-rate 0.05 --record "$FLIGHT_DIR/durable_flight.jsonl" --rebalance)
 # The mid-run checkpoint a crash would have left on disk: the virtual
@@ -229,18 +227,20 @@ if ./target/release/hiphopc replay "$FLIGHT_DIR/durable_flight.jsonl" \
     exit 1
 fi
 echo "    anchorless --from 8: refused as expected"
-for wdt in u64 wide; do
+for mode in scalar cohort; do
+    COHORT_FLAG=""
+    if [ "$mode" = cohort ]; then COHORT_FLAG="--cohort"; fi
     RECOVERY_JSON=$(./target/release/hiphopc replay "$FLIGHT_DIR/durable_flight.jsonl" \
-        --shards 2 --from 8 --snapshot "$FLIGHT_DIR/pool_snapshot.jsonl" --cohort "$wdt")
+        --shards 2 --from 8 --snapshot "$FLIGHT_DIR/pool_snapshot.jsonl" $COHORT_FLAG)
     case "$RECOVERY_JSON" in
         *'"ok":true'*) : ;;
-        *) echo "ci: cohort($wdt) recovery digest mismatch: $RECOVERY_JSON" >&2; exit 1 ;;
+        *) echo "ci: $mode recovery digest mismatch: $RECOVERY_JSON" >&2; exit 1 ;;
     esac
     case "$RECOVERY_JSON" in
         *'"ticks":8'*) : ;;
-        *) echo "ci: cohort($wdt) recovery re-drove more than the suffix: $RECOVERY_JSON" >&2; exit 1 ;;
+        *) echo "ci: $mode recovery re-drove more than the suffix: $RECOVERY_JSON" >&2; exit 1 ;;
     esac
-    echo "    cohort $wdt: recovered tick-8 checkpoint + 8-tick suffix, digests match"
+    echo "    $mode: recovered tick-8 checkpoint + 8-tick suffix, digests match"
 done
 
 echo "ci: all green"

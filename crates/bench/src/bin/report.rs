@@ -282,15 +282,16 @@ fn main() {
         "8-shard / 1-shard critical-path throughput on 1000 sessions: {scale:.2}× {}",
         if scale >= 3.0 { "(≥ 3× target)" } else { "(UNDER 3× target)" }
     );
-    // No-regression: a 1-shard single-session pool runs the very E7
-    // drive through the pool plumbing; the sinks time the reactions
-    // themselves, so its p50 is directly comparable to E7/E9.
+    // A 1-shard single-session pool runs the very E7 drive through the
+    // pool plumbing; the sinks time the reactions themselves. The ratio
+    // divides two separate wall-clock drives, so it is informational
+    // only: on a shared host it swings by ±30% between runs of one build.
     let single = pool_scaling(640, &[1], &[1], 500, 2020);
     let pool_p50 = single[0].metrics.duration_us.p50;
     let ratio = pool_p50 / e7_levelized_p50;
     println!(
-        "1-shard single-session p50: {pool_p50:.1} µs vs E7 levelized {e7_levelized_p50:.1} µs ({ratio:.2}×) {}",
-        if ratio <= 1.15 { "(no regression)" } else { "(REGRESSION over 15%)" }
+        "1-shard single-session p50: {pool_p50:.1} µs vs E7 levelized {e7_levelized_p50:.1} µs \
+         ({ratio:.2}×, informational: two separate wall-clock drives)"
     );
 
     // ------------------------------------------------------------------ E11
@@ -319,9 +320,9 @@ fn main() {
     );
 
     // ------------------------------------------------------------------ E12
-    println!("\nE12 — bit-parallel cohort execution (the 1-shard E10 workload run scalar,");
-    println!("u64-packed and wide-packed; 32 sessions share each lane word, so the cohort");
-    println!("rows pay one level sweep per 32 sessions; digests prove bit-identity)");
+    println!("\nE12 — bit-parallel cohort execution (the 1-shard E10 workload run scalar and");
+    println!("bit-packed; 32 sessions share each 64-bit lane word, so the cohort rows pay");
+    println!("one level sweep per 32 sessions; digests prove bit-identity)");
     println!(
         "{:<10} {:>8} {:>12} {:>16} {:>18}",
         "sessions", "mode", "reactions", "throughput (r/s)", "digest"
@@ -352,8 +353,7 @@ fn main() {
             .collect::<std::collections::BTreeSet<_>>()
             .len()
             == 1;
-        let best = cohort_tp(sessions, "u64").max(cohort_tp(sessions, "wide"));
-        let speedup = best / cohort_tp(sessions, "scalar");
+        let speedup = cohort_tp(sessions, "cohort") / cohort_tp(sessions, "scalar");
         println!(
             "cohort / scalar critical-path throughput on {sessions} sessions: {speedup:.2}× {} {}",
             if sessions < 1000 {

@@ -546,35 +546,29 @@ pub fn pool_scaling(
 pub struct CohortRow {
     /// Concurrent sessions.
     pub sessions: u64,
-    /// Execution mode: `scalar`, `u64` or `wide`.
+    /// Execution mode: `scalar` or `cohort`.
     pub mode: &'static str,
     /// Pool-wide roll-up for the run.
     pub metrics: hiphop_runtime::PoolMetrics,
     /// FNV-1a fold of every session's final state digest — the report
-    /// asserts all three modes agree before comparing their clocks.
+    /// asserts both modes agree before comparing their clocks.
     pub digest: u64,
 }
 
 /// E12: bit-parallel cohort throughput — the E10 workload on one shard
 /// (serial sweep, so the clock is honest on an oversubscribed host) run
-/// scalar, u64-packed and wide-packed. Every session shares one circuit
-/// and one engine, so each tick forms a single full-width cohort; the
-/// cohort rows pay one level sweep per 32 sessions instead of one per
-/// session, and the digest column proves the modes are bit-identical.
+/// scalar and bit-packed. Every session shares one circuit and one
+/// engine, so each tick forms a single full-width cohort; the cohort
+/// rows pay one level sweep per 32 sessions instead of one per session,
+/// and the digest column proves the modes are bit-identical.
 pub fn cohort_scaling(n: usize, sessions: &[u64], ticks: u64, seed: u64) -> Vec<CohortRow> {
     use hiphop_eventloop::sessions::{SessionId, SessionPool};
-    use hiphop_runtime::CohortWidth;
-    let modes: [(&'static str, Option<CohortWidth>); 3] = [
-        ("scalar", None),
-        ("u64", Some(CohortWidth::U64)),
-        ("wide", Some(CohortWidth::Wide)),
-    ];
     let mut rows = Vec::new();
     for &k in sessions {
-        for (mode, width) in modes {
+        for (mode, cohort) in [("scalar", false), ("cohort", true)] {
             let mut pool = SessionPool::new(1, 10, move |_id| pool_machine(n, seed));
             pool.set_serial_sweep(true);
-            pool.set_cohort(width).expect("cohort configures");
+            pool.set_cohort(cohort).expect("cohort configures");
             pool.open_many(k).expect("pool opens");
             for t in 0..ticks {
                 let sig = format!("i{}", t % 8);
@@ -823,7 +817,7 @@ fn median_reaction_us(machine: &mut Machine, reactions: usize) -> f64 {
 ///    program, where one shrunk schedule is swept once per lane word —
 ///    shrinking multiplies across the whole pool.
 pub fn schedule_shrinking(seed: u64) -> Vec<ShrinkRow> {
-    use hiphop_runtime::{react_cohort, CohortWidth};
+    use hiphop_runtime::react_cohort;
     let compile = |module: &Module, dataflow: bool| {
         compile_module_with(
             module,
@@ -883,7 +877,7 @@ pub fn schedule_shrinking(seed: u64) -> Vec<ShrinkRow> {
             }
             let start = Instant::now();
             let mut lanes: Vec<&mut Machine> = machines.iter_mut().collect();
-            for r in react_cohort(&mut lanes, CohortWidth::U64) {
+            for r in react_cohort(&mut lanes) {
                 r.expect("reaction");
             }
             samples.push(start.elapsed().as_secs_f64() * 1e6);
@@ -1172,16 +1166,15 @@ mod tests {
     #[test]
     fn cohort_scaling_modes_are_digest_identical() {
         let rows = cohort_scaling(40, &[33], 4, 7);
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 2);
         for row in &rows {
             // Boot + one reaction per session per tick.
             assert_eq!(row.metrics.reactions as u64, 33 * (4 + 1), "{}", row.mode);
             assert!(row.metrics.throughput_rps() > 0.0, "{}", row.mode);
         }
-        // The digest column is the whole point: all three execution
-        // modes leave every session in bit-identical state.
-        assert_eq!(rows[0].digest, rows[1].digest, "scalar vs u64");
-        assert_eq!(rows[0].digest, rows[2].digest, "scalar vs wide");
+        // The digest column is the whole point: both execution modes
+        // leave every session in bit-identical state.
+        assert_eq!(rows[0].digest, rows[1].digest, "scalar vs cohort");
     }
 
     #[test]

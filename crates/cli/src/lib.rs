@@ -100,9 +100,9 @@ pub struct ServeOptions {
     /// Print a pool-metrics line to stderr every N beats (`--watch N`,
     /// 0 = off).
     pub watch: u64,
-    /// Bit-parallel cohort execution (`--cohort u64|wide`, default
-    /// scalar). A pure execution strategy: digests are identical.
-    pub cohort: Option<hiphop_runtime::CohortWidth>,
+    /// Bit-parallel cohort execution (`--cohort`, default scalar). A
+    /// pure execution strategy: digests are identical.
+    pub cohort: bool,
     /// Write the last pool checkpoint (JSONL) to this file
     /// (`--snapshot FILE`).
     pub snapshot: Option<String>,
@@ -129,7 +129,7 @@ impl Default for ServeOptions {
             trace_spans: None,
             prom: None,
             watch: 0,
-            cohort: None,
+            cohort: false,
             snapshot: None,
             snapshot_every: 0,
             rebalance: false,
@@ -150,10 +150,10 @@ pub struct ReplayFlags {
     pub from: u64,
     /// Last tick to re-execute (`--to`).
     pub to: u64,
-    /// Replay on a bit-parallel cohort pool (`--cohort u64|wide`) —
+    /// Replay on a bit-parallel cohort pool (`--cohort`) —
     /// recordings are mode-agnostic, so a scalar recording verifies on
     /// a cohort pool and vice versa.
-    pub cohort: Option<hiphop_runtime::CohortWidth>,
+    pub cohort: bool,
     /// Restore this pool checkpoint (from `serve --snapshot`) first and
     /// re-drive only the journal suffix (`--snapshot FILE`). Required
     /// for `--from N` with N > 0.
@@ -169,7 +169,7 @@ impl Default for ReplayFlags {
             verify_digests: true,
             from: 0,
             to: u64::MAX,
-            cohort: None,
+            cohort: false,
             snapshot: None,
             engine: None,
         }
@@ -368,13 +368,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--cohort" => {
                 // Shared by `serve` (execution mode) and `replay`
                 // (pool the recording is re-executed on).
-                let width = it
-                    .next()
-                    .ok_or_else(|| fail("--cohort needs a width (u64 or wide)"))?
-                    .parse::<hiphop_runtime::CohortWidth>()
-                    .map_err(fail)?;
-                serve.cohort = Some(width);
-                replay.cohort = Some(width);
+                serve.cohort = true;
+                replay.cohort = true;
             }
             "--snapshot" => {
                 // Shared by `serve` (checkpoint output file) and
@@ -430,8 +425,12 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
         }
     }
     let file = if command == "serve" {
-        // `serve` runs a generated score: no source file.
-        file.unwrap_or_default()
+        // `serve` runs a generated score: a stray word is refused rather
+        // than silently ignored.
+        if let Some(stray) = file {
+            return Err(fail(format!("serve takes no FILE argument, got `{stray}`\n{USAGE}")));
+        }
+        String::new()
     } else if command == "replay" {
         file.ok_or_else(|| fail(format!("replay needs a recording file\n{USAGE}")))?
     } else {
@@ -638,9 +637,9 @@ pub fn cmd_replay(
 /// Usage text.
 pub const USAGE: &str = "usage: hiphopc <check|analyze|stats|pretty|dot|run|trace|oracle> FILE [--main MODULE] [--no-optimize] [--stimulus S] [--engine E]
        hiphopc serve [--sessions N] [--shards N] [--ticks N] [--seed N] [--shape S] [--metrics]
-                     [--record FILE] [--trace-spans FILE] [--prom FILE] [--watch N] [--cohort u64|wide]
+                     [--record FILE] [--trace-spans FILE] [--prom FILE] [--watch N] [--cohort]
                      [--snapshot FILE] [--snapshot-every N] [--rebalance] [--engine E]
-       hiphopc replay FILE [--shards N] [--from N] [--to N] [--no-verify-digests] [--cohort u64|wide]
+       hiphopc replay FILE [--shards N] [--from N] [--to N] [--no-verify-digests] [--cohort]
                      [--snapshot FILE] [--engine E]
   check   parse, link and statically check the program
   analyze compile and lint the circuit: constructiveness verdicts per
@@ -717,6 +716,10 @@ engine selection (run, trace, oracle, serve and replay):
   (`hybrid` and `naive` are accepted as older names of levelized and
   constructive)
   under serve/replay the override applies to every pooled session
+  --cohort               (serve, replay) advance the pooled sessions of
+                         one program in bit-parallel lockstep cohorts,
+                         32 sessions per 64-bit lane word; digest-
+                         identical to scalar sweeps
 telemetry flags (trace and oracle only):
   --metrics      print a per-reaction percentile table (duration, net
                  events, actions, queue high-water mark) to stderr
@@ -2061,11 +2064,11 @@ mod tests {
 
     #[test]
     fn cohort_serve_matches_scalar_and_replays_across_modes() {
-        let o = parse_args(&["serve".into(), "--cohort".into(), "wide".into()]).unwrap();
-        assert_eq!(o.serve.cohort, Some(hiphop_runtime::CohortWidth::Wide));
-        assert_eq!(o.replay.cohort, Some(hiphop_runtime::CohortWidth::Wide));
-        assert!(parse_args(&["serve".into(), "--cohort".into(), "simd".into()]).is_err());
-        assert!(parse_args(&["serve".into(), "--cohort".into()]).is_err());
+        let o = parse_args(&["serve".into(), "--cohort".into()]).unwrap();
+        assert!(o.serve.cohort && o.replay.cohort);
+        assert!(!parse_args(&["serve".into()]).unwrap().serve.cohort);
+        // A bare flag: the old lane-width argument is no longer accepted.
+        assert!(parse_args(&["serve".into(), "--cohort".into(), "u64".into()]).is_err());
 
         // A cohort serve is digest-identical to the scalar run…
         let rec_path = std::env::temp_dir().join("hiphopc_test_cohort_flight.jsonl");
@@ -2079,7 +2082,7 @@ mod tests {
         let scalar = cmd_serve(&opts, &ChaosOptions::default(), false).unwrap();
         let cohort = cmd_serve(
             &ServeOptions {
-                cohort: Some(hiphop_runtime::CohortWidth::U64),
+                cohort: true,
                 record: Some(rec_path.to_string_lossy().into_owned()),
                 ..opts
             },
@@ -2095,9 +2098,9 @@ mod tests {
         };
         assert_eq!(digest_of(&cohort.json), digest_of(&scalar.json));
         // …and its recording verifies on a scalar pool and back on a
-        // wide cohort pool: the journal is execution-mode-agnostic.
+        // cohort pool: the journal is execution-mode-agnostic.
         let file = rec_path.to_string_lossy();
-        for cohort in [None, Some(hiphop_runtime::CohortWidth::Wide)] {
+        for cohort in [false, true] {
             let flags = ReplayFlags { cohort, ..ReplayFlags::default() };
             let replayed = cmd_replay(&file, 2, &flags).unwrap();
             assert!(replayed.ok, "[{cohort:?}] {}", replayed.json);

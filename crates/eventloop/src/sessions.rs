@@ -52,10 +52,11 @@ use hiphop_runtime::flight::{
     ReplayOptions, ReplayReport,
 };
 use hiphop_runtime::snapshot::{PoolSnapshot, SessionSnapshot, SNAPSHOT_FORMAT_VERSION};
+use hiphop_runtime::isolate::guarded;
 use hiphop_runtime::telemetry::{shared, SpanKind, SpanRecord};
 use hiphop_runtime::{
-    cohort_key, react_cohort, CohortWidth, EngineMode, LevelActivity, Machine, MetricsSink,
-    OutputEvent, PoolMetrics, Reaction, RuntimeError, ShardRollup,
+    cohort_key, react_cohort, EngineMode, LevelActivity, Machine, MetricsSink, OutputEvent,
+    PoolMetrics, Reaction, RuntimeError, ShardRollup,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -239,8 +240,8 @@ fn stage_inputs(
 enum Cmd {
     /// Build machines for the given sessions and run their boot
     /// reactions. Replies with the boot batch — a failed boot reaction
-    /// rolls back and is reported as a fault; only factory errors are
-    /// fatal.
+    /// rolls back and is reported as a fault; a factory error or panic
+    /// fails the whole command before any session opens.
     Open(Vec<SessionId>, Sender<Result<ShardTick, String>>),
     /// Run one reaction per session with the batched inputs, then
     /// advance the shard clock. The reply goes out on the shard's
@@ -258,7 +259,7 @@ enum Cmd {
         tracing: bool,
         level_activity: bool,
         epoch: Instant,
-        cohort: Option<CohortWidth>,
+        cohort: bool,
         engine: Option<EngineMode>,
         reply: Sender<()>,
     },
@@ -284,6 +285,7 @@ enum Cmd {
     Shutdown,
 }
 
+#[derive(Default)]
 struct ShardTick {
     outputs: Vec<SessionOutputs>,
     faults: Vec<SessionFault>,
@@ -295,6 +297,36 @@ struct ShardTick {
     /// tracing is on). Sweep spans arrive with `parent == 0`; the pool
     /// re-parents them under its tick span.
     spans: Vec<SpanRecord>,
+}
+
+impl ShardTick {
+    /// Folds one session's outcome — boot, sweep, cohort lane or drain —
+    /// into the report: a committed batch, or a fault. The failed
+    /// reaction rolled back, so the session's digest is its pre-reaction
+    /// digest and shard-mates never observe the fault; only a poisoned
+    /// machine (rollback disabled) is quarantined.
+    fn report<E: std::fmt::Display>(
+        &mut self,
+        id: SessionId,
+        slot: &mut Slot,
+        reacted: Result<(SessionOutputs, usize), E>,
+    ) {
+        match reacted {
+            Ok((batch, reactions)) => {
+                self.reactions += reactions;
+                self.outputs.push(batch);
+            }
+            Err(e) => {
+                let quarantined = slot.driver.machine.borrow().is_poisoned();
+                slot.quarantined |= quarantined;
+                self.faults.push(SessionFault {
+                    session: id,
+                    error: e.to_string(),
+                    quarantined,
+                });
+            }
+        }
+    }
 }
 
 struct ShardHandle {
@@ -324,7 +356,7 @@ struct ShardState {
     /// Cohort execution mode: when set, each tick groups the shard's
     /// cohort-eligible sessions by [`cohort_key`] and advances every
     /// group through one bit-parallel sweep instead of N scalar ones.
-    cohort: Option<CohortWidth>,
+    cohort: bool,
     /// Engine override applied to every session (current and future);
     /// `None` keeps whatever the factory selected.
     engine: Option<EngineMode>,
@@ -346,83 +378,80 @@ impl ShardState {
         ((self.index as u64 + 1) << 40) | self.span_seq
     }
 
-    fn open(&mut self, ids: Vec<SessionId>) -> Result<ShardTick, String> {
-        let mut out = ShardTick {
-            outputs: Vec::new(),
-            faults: Vec::new(),
-            reactions: 0,
-            quarantined: 0,
-            busy_us: 0.0,
-            spans: Vec::new(),
-        };
-        let t0 = std::time::Instant::now();
-        for id in ids {
-            let build = (self.factory)(id, &SessionCtx { el: &self.el })
-                .map_err(|e| format!("shard {}: {id}: {e}", self.index))?;
-            let mut machine = build.machine;
-            if let Some(mode) = self.engine {
-                // Applied before the boot reaction so even instant 0
-                // runs under the requested engine (a cyclic circuit
-                // resolves it to the nearest capable one).
-                let _ = machine.set_engine(mode);
-            }
-            machine.attach_sink(self.sink.clone());
-            if self.level_activity {
-                machine.enable_level_activity();
-            }
-            let mut quarantined = false;
-            // A failed boot reaction rolls back like any other fault: the
-            // session stays open (un-booted — the next tick runs its
-            // first instant) unless the machine is poisoned.
-            match react_batch(&mut machine, id) {
-                Ok((batch, reactions)) => {
-                    out.reactions += reactions;
-                    out.outputs.push(batch);
-                }
-                Err(e) => {
-                    self.rollbacks += 1;
-                    quarantined = machine.is_poisoned();
-                    if quarantined {
-                        self.quarantined += 1;
-                    }
-                    out.faults.push(SessionFault {
-                        session: id,
-                        error: format!("boot: {e}"),
-                        quarantined,
-                    });
-                }
-            }
-            let driver = Driver {
+    /// Builds one session's slot with the factory — a panic is caught
+    /// and reported like a factory error — and arms the shard's
+    /// telemetry on its machine.
+    fn build(&self, id: SessionId) -> Result<Slot, String> {
+        let built = guarded(|| (self.factory)(id, &SessionCtx { el: &self.el }))
+            .unwrap_or_else(|panic| Err(format!("factory panicked: {panic}")));
+        let SessionBuild {
+            mut machine,
+            supervisor,
+        } = built.map_err(|e| format!("shard {}: {id}: {e}", self.index))?;
+        machine.attach_sink(self.sink.clone());
+        if self.level_activity {
+            machine.enable_level_activity();
+        }
+        Ok(Slot {
+            driver: Driver {
                 machine: Rc::new(RefCell::new(machine)),
                 el: self.el.clone(),
-            };
-            self.sessions.insert(
-                id,
-                Slot {
-                    driver,
-                    quarantined,
-                    supervisor: build.supervisor,
-                },
-            );
-        }
+            },
+            quarantined: false,
+            supervisor,
+        })
+    }
+
+    /// Books the faults of one open or tick into the shard's roll-up
+    /// counters and stamps the report.
+    fn settle(&mut self, out: &mut ShardTick, t0: Instant) {
+        self.rollbacks += out.faults.len() as u64;
+        self.quarantined += out.faults.iter().filter(|f| f.quarantined).count();
         out.quarantined = self.quarantined;
         out.busy_us = t0.elapsed().as_nanos() as f64 / 1e3;
+    }
+
+    fn open(&mut self, ids: Vec<SessionId>) -> Result<ShardTick, String> {
+        let t0 = Instant::now();
+        // All or nothing: every machine is built before any session opens.
+        let slots = ids.iter().map(|&id| self.build(id)).collect::<Result<Vec<_>, _>>()?;
+        let mut out = ShardTick::default();
+        for (id, mut slot) in ids.into_iter().zip(slots) {
+            let booted = {
+                let mut machine = slot.driver.machine.borrow_mut();
+                if let Some(mode) = self.engine {
+                    // Applied before the boot reaction so even instant 0
+                    // runs under the requested engine (a cyclic circuit
+                    // resolves it to the nearest capable one).
+                    let _ = machine.set_engine(mode);
+                }
+                // A failed boot reaction rolls back like any other
+                // fault: the session stays open (un-booted — the next
+                // tick runs its first instant) unless the machine is
+                // poisoned.
+                react_batch(&mut machine, id)
+            };
+            out.report(id, &mut slot, booted.map_err(|e| format!("boot: {e}")));
+            self.sessions.insert(id, slot);
+        }
+        self.settle(&mut out, t0);
         Ok(out)
     }
 
+    /// One tick: stages each session's inputs in id order and reacts at
+    /// once — unless cohort mode defers the session to its
+    /// [`cohort_key`] group, which then advances through one
+    /// bit-parallel sweep ([`react_cohort`]). Cohort mode is a pure
+    /// execution strategy: lanes report exactly like scalar reactions,
+    /// and the only observable difference is telemetry granularity (no
+    /// per-reaction spans inside a cohort). Then the shard clock
+    /// advances and timer-driven mailbox work drains.
     fn tick(&mut self, mut inputs: Vec<Input>) -> ShardTick {
         // Stable: a session's inputs keep their injection order. The
-        // sweeps below walk the sorted batch alongside the (id-ordered)
+        // sweep walks the sorted batch alongside the (id-ordered)
         // session map.
         inputs.sort_by_key(|input| input.0);
-        let mut out = ShardTick {
-            outputs: Vec::new(),
-            faults: Vec::new(),
-            reactions: 0,
-            quarantined: 0,
-            busy_us: 0.0,
-            spans: Vec::new(),
-        };
+        let mut out = ShardTick::default();
         // When tracing, the sweep span is allocated up front so the
         // per-session reaction spans can parent to it; its timing is
         // patched in at the end.
@@ -432,67 +461,69 @@ impl ShardState {
                 self.epoch.elapsed().as_micros() as u64,
             )
         });
-        let t0 = std::time::Instant::now();
-        if let Some(width) = self.cohort {
-            // Bit-parallel sweep: eligible sessions advance in lockstep
-            // cohorts; per-reaction spans are not emitted (the sweep
-            // span still is — cohorts have no per-session wall time).
-            self.sweep_cohort(&mut inputs, width, &mut out);
-        } else {
-            // Local copies: the loop holds `self.sessions` mutably, so
-            // span ids come from a local sequence written back
-            // afterwards.
-            let shard_tag = (self.index as u64 + 1) << 40;
-            let mut span_seq = self.span_seq;
-            let mut cursor = 0;
-            for (&id, slot) in &mut self.sessions {
-                if slot.quarantined {
+        let t0 = Instant::now();
+        // Local copies: the loop holds `self.sessions` mutably, so span
+        // ids come from a local sequence written back afterwards.
+        let shard_tag = (self.index as u64 + 1) << 40;
+        let mut span_seq = self.span_seq;
+        let mut cursor = 0;
+        let mut cohorts: BTreeMap<u64, Vec<SessionId>> = BTreeMap::new();
+        for (&id, slot) in &mut self.sessions {
+            if slot.quarantined {
+                continue;
+            }
+            let span_start = sweep_span.map(|_| self.epoch.elapsed().as_micros() as u64);
+            let reacted = {
+                let mut machine = slot.driver.machine.borrow_mut();
+                // A staging error faults the session, which skips this
+                // tick's reaction.
+                let staged = stage_inputs(&mut machine, id, &mut inputs, &mut cursor);
+                let key = if self.cohort && staged.is_ok() { cohort_key(&machine) } else { None };
+                if let Some(key) = key {
+                    cohorts.entry(key).or_default().push(id);
                     continue;
                 }
-                let span_start = sweep_span.map(|_| self.epoch.elapsed().as_micros() as u64);
-                let reacted = {
-                    let mut machine = slot.driver.machine.borrow_mut();
-                    stage_inputs(&mut machine, id, &mut inputs, &mut cursor)
-                        .and_then(|()| react_batch(&mut machine, id))
-                };
-                if let (Some((sweep_id, _)), Some(ts_us)) = (sweep_span, span_start) {
-                    let end = self.epoch.elapsed().as_micros() as u64;
-                    span_seq += 1;
-                    let span_id = shard_tag | span_seq;
-                    out.spans.push(SpanRecord {
-                        id: span_id,
-                        parent: sweep_id,
-                        name: id.to_string(),
-                        kind: SpanKind::Reaction,
-                        shard: self.index as u32,
-                        ts_us,
-                        dur_us: (end - ts_us).max(1),
-                    });
-                }
-                self.span_seq = span_seq;
-                match reacted {
-                    Ok((batch, reactions)) => {
-                        out.reactions += reactions;
-                        out.outputs.push(batch);
-                    }
-                    Err(e) => {
-                        // The failed reaction rolled back: the session's
-                        // digest is its pre-reaction digest and
-                        // shard-mates never observe the fault. Quarantine
-                        // only the (rollback-disabled) poisoned case.
-                        self.rollbacks += 1;
-                        let quarantined = slot.driver.machine.borrow().is_poisoned();
-                        if quarantined {
-                            slot.quarantined = true;
-                            self.quarantined += 1;
-                        }
-                        out.faults.push(SessionFault {
-                            session: id,
-                            error: e.to_string(),
-                            quarantined,
-                        });
-                    }
-                }
+                staged.and_then(|()| react_batch(&mut machine, id))
+            };
+            if let (Some((sweep_id, _)), Some(ts_us)) = (sweep_span, span_start) {
+                let end = self.epoch.elapsed().as_micros() as u64;
+                span_seq += 1;
+                out.spans.push(SpanRecord {
+                    id: shard_tag | span_seq,
+                    parent: sweep_id,
+                    name: id.to_string(),
+                    kind: SpanKind::Reaction,
+                    shard: self.index as u32,
+                    ts_us,
+                    dur_us: (end - ts_us).max(1),
+                });
+            }
+            out.report(id, slot, reacted);
+        }
+        self.span_seq = span_seq;
+        for ids in cohorts.into_values() {
+            let outcomes: Vec<Batch> = {
+                let mut borrows: Vec<std::cell::RefMut<'_, Machine>> = ids
+                    .iter()
+                    .map(|id| self.sessions[id].driver.machine.borrow_mut())
+                    .collect();
+                let mut lanes: Vec<&mut Machine> = borrows.iter_mut().map(|b| &mut **b).collect();
+                let results = react_cohort(&mut lanes);
+                drop(lanes);
+                // Mirror `react_batch`: the committed reaction plus any
+                // synchronously drained mailbox follow-ups form one
+                // batch, and a drain error faults the whole batch.
+                results
+                    .into_iter()
+                    .zip(borrows.iter_mut())
+                    .zip(&ids)
+                    .map(|((r, m), &id)| {
+                        r.and_then(|r| m.drain().map(|more| fold_batch(id, r, more)))
+                    })
+                    .collect()
+            };
+            for (id, reacted) in ids.into_iter().zip(outcomes) {
+                out.report(id, self.sessions.get_mut(&id).expect("live session"), reacted);
             }
         }
         // Advance the shard's virtual clock and drain any timer-driven
@@ -503,31 +534,17 @@ impl ShardState {
                 continue;
             }
             let drained = slot.driver.machine.borrow_mut().drain();
-            match drained {
-                Ok(mut reactions) if !reactions.is_empty() => {
-                    let first = reactions.remove(0);
-                    let (batch, n) = fold_batch(id, first, reactions);
-                    out.reactions += n;
-                    out.outputs.push(batch);
+            let reacted = match drained {
+                Ok(more) if more.is_empty() => continue,
+                Ok(mut more) => {
+                    let first = more.remove(0);
+                    Ok(fold_batch(id, first, more))
                 }
-                Ok(_) => {}
-                Err(e) => {
-                    self.rollbacks += 1;
-                    let quarantined = slot.driver.machine.borrow().is_poisoned();
-                    if quarantined {
-                        slot.quarantined = true;
-                        self.quarantined += 1;
-                    }
-                    out.faults.push(SessionFault {
-                        session: id,
-                        error: e.to_string(),
-                        quarantined,
-                    });
-                }
-            }
+                Err(e) => Err(e),
+            };
+            out.report(id, slot, reacted);
         }
-        out.quarantined = self.quarantined;
-        out.busy_us = t0.elapsed().as_nanos() as f64 / 1e3;
+        self.settle(&mut out, t0);
         if let Some((sweep_id, sweep_ts)) = sweep_span {
             let end = self.epoch.elapsed().as_micros() as u64;
             out.spans.push(SpanRecord {
@@ -541,108 +558,6 @@ impl ShardState {
             });
         }
         out
-    }
-
-    /// One cohort-mode sweep: stages the batched inputs, groups the
-    /// shard's eligible sessions by circuit identity ([`cohort_key`])
-    /// and advances each group through a single bit-parallel sweep
-    /// ([`react_cohort`]); ineligible sessions (non-levelized engines,
-    /// fine-grained observability armed) take the scalar path for the
-    /// tick. Outcome handling — outputs, synchronously drained mailbox
-    /// follow-ups, faults, rollback/quarantine bookkeeping — matches the
-    /// scalar sweep exactly, so cohort mode is a pure execution
-    /// strategy; the only observable difference is telemetry
-    /// granularity (no per-reaction spans inside a cohort).
-    fn sweep_cohort(&mut self, inputs: &mut [Input], width: CohortWidth, out: &mut ShardTick) {
-        // Stage inputs up front (the scalar path stages just before each
-        // reaction). A staging error faults the session and it skips
-        // this tick's reaction, exactly as in the scalar path.
-        let mut groups: BTreeMap<u64, Vec<SessionId>> = BTreeMap::new();
-        let mut scalars: Vec<SessionId> = Vec::new();
-        let mut staging_faults: Vec<(SessionId, String)> = Vec::new();
-        let mut cursor = 0;
-        for (&id, slot) in &self.sessions {
-            if slot.quarantined {
-                continue;
-            }
-            let mut machine = slot.driver.machine.borrow_mut();
-            match stage_inputs(&mut machine, id, inputs, &mut cursor) {
-                Err(e) => staging_faults.push((id, e.to_string())),
-                Ok(()) => match cohort_key(&machine) {
-                    Some(key) => groups.entry(key).or_default().push(id),
-                    None => scalars.push(id),
-                },
-            }
-        }
-        for (id, error) in staging_faults {
-            self.rollbacks += 1;
-            out.faults.push(SessionFault {
-                session: id,
-                error,
-                quarantined: false,
-            });
-        }
-        for ids in groups.into_values() {
-            let mut outcomes: Vec<(SessionId, Batch)> = Vec::with_capacity(ids.len());
-            {
-                let mut borrows: Vec<std::cell::RefMut<'_, Machine>> = ids
-                    .iter()
-                    .map(|id| self.sessions[id].driver.machine.borrow_mut())
-                    .collect();
-                let mut lanes: Vec<&mut Machine> =
-                    borrows.iter_mut().map(|b| &mut **b).collect();
-                let results = react_cohort(&mut lanes, width);
-                drop(lanes);
-                for ((id, result), machine) in
-                    ids.iter().zip(results).zip(borrows.iter_mut())
-                {
-                    // Mirror `Driver::react`: the committed reaction plus
-                    // any synchronously drained mailbox follow-ups form
-                    // one batch, and a drain error faults the whole
-                    // batch.
-                    let reacted =
-                        result.and_then(|r| machine.drain().map(|more| fold_batch(*id, r, more)));
-                    outcomes.push((*id, reacted));
-                }
-            }
-            for (id, reacted) in outcomes {
-                self.report_outcome(id, reacted, out);
-            }
-        }
-        for id in scalars {
-            let reacted = react_batch(&mut self.sessions[&id].driver.machine.borrow_mut(), id);
-            self.report_outcome(id, reacted, out);
-        }
-    }
-
-    /// Folds one session's reaction outcome into the tick report, with
-    /// the scalar sweep's rollback/quarantine bookkeeping.
-    fn report_outcome(
-        &mut self,
-        id: SessionId,
-        reacted: Batch,
-        out: &mut ShardTick,
-    ) {
-        match reacted {
-            Ok((batch, reactions)) => {
-                out.reactions += reactions;
-                out.outputs.push(batch);
-            }
-            Err(e) => {
-                self.rollbacks += 1;
-                let slot = self.sessions.get_mut(&id).expect("live session");
-                let quarantined = slot.driver.machine.borrow().is_poisoned();
-                if quarantined {
-                    slot.quarantined = true;
-                    self.quarantined += 1;
-                }
-                out.faults.push(SessionFault {
-                    session: id,
-                    error: e.to_string(),
-                    quarantined,
-                });
-            }
-        }
     }
 
     fn close(&mut self, ids: Vec<SessionId>) -> usize {
@@ -686,23 +601,15 @@ impl ShardState {
     /// check against the hash the snapshot recorded at capture time.
     fn restore_one(&mut self, snap: &SessionSnapshot) -> Result<(), String> {
         let id = SessionId(snap.session);
-        let build = (self.factory)(id, &SessionCtx { el: &self.el })
-            .map_err(|e| format!("shard {}: {id}: {e}", self.index))?;
-        let mut machine = build.machine;
-        machine.attach_sink(self.sink.clone());
-        if self.level_activity {
-            machine.enable_level_activity();
-        }
-        machine
+        let mut slot = self.build(id)?;
+        slot.driver
+            .machine
+            .borrow_mut()
             .restore(&snap.machine)
             .map_err(|e| format!("{id}: {e}"))?;
-        let driver = Driver {
-            machine: Rc::new(RefCell::new(machine)),
-            el: self.el.clone(),
-        };
-        match (&build.supervisor, snap.activities.is_empty()) {
+        match (&slot.supervisor, snap.activities.is_empty()) {
             (Some(sup), _) => {
-                let m = driver.machine.borrow();
+                let m = slot.driver.machine.borrow();
                 let mut el = self.el.borrow_mut();
                 sup.adopt(&mut el, &m, &snap.activities)
                     .map_err(|e| format!("{id}: {e}"))?;
@@ -716,7 +623,7 @@ impl ShardState {
             }
             (None, true) => {}
         }
-        let got = digest_hash(&driver.machine.borrow().state_digest());
+        let got = digest_hash(&slot.driver.machine.borrow().state_digest());
         if got != snap.digest {
             return Err(format!(
                 "{id}: digest mismatch after restore: snapshot recorded {}, machine \
@@ -727,14 +634,8 @@ impl ShardState {
         if snap.quarantined {
             self.quarantined += 1;
         }
-        self.sessions.insert(
-            id,
-            Slot {
-                driver,
-                quarantined: snap.quarantined,
-                supervisor: build.supervisor,
-            },
-        );
+        slot.quarantined = snap.quarantined;
+        self.sessions.insert(id, slot);
         Ok(())
     }
 
@@ -889,6 +790,11 @@ fn shard_main(mut state: ShardState, rx: Receiver<Cmd>, ticks: Sender<ShardTick>
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolError(pub String);
 
+/// The error of a request to a shard whose thread is gone.
+fn gone(shard: usize) -> PoolError {
+    PoolError(format!("shard {shard} is gone"))
+}
+
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "session pool: {}", self.0)
@@ -922,7 +828,7 @@ pub struct SessionPool {
     epoch: Instant,
     spans: Vec<SpanRecord>,
     tick_span_seq: u64,
-    cohort: Option<CohortWidth>,
+    cohort: bool,
     engine: Option<EngineMode>,
 }
 
@@ -988,7 +894,7 @@ impl SessionPool {
                             level_activity: false,
                             epoch: Instant::now(),
                             span_seq: 0,
-                            cohort: None,
+                            cohort: false,
                             engine: None,
                         };
                         shard_main(state, rx, tick_tx);
@@ -1018,7 +924,7 @@ impl SessionPool {
             epoch: Instant::now(),
             spans: Vec::new(),
             tick_span_seq: 0,
-            cohort: None,
+            cohort: false,
             engine: None,
         }
     }
@@ -1068,37 +974,37 @@ impl SessionPool {
     ///
     /// # Errors
     ///
-    /// Fails if a factory call fails (the session cannot exist) or if a
-    /// shard died.
+    /// Fails if a factory call fails or panics (the session cannot
+    /// exist; no session of the batch is opened then) or if a shard
+    /// died.
     pub fn open(&mut self, sessions: &[SessionId]) -> Result<TickReport, PoolError> {
-        let mut per_shard: Vec<Vec<SessionId>> = vec![Vec::new(); self.shards.len()];
-        for &id in sessions {
-            per_shard[self.shard_of(id)].push(id);
-        }
-        let mut replies = Vec::new();
-        for (shard, ids) in per_shard.into_iter().enumerate() {
-            if ids.is_empty() {
-                continue;
-            }
-            let (tx, rx) = channel();
-            self.shards[shard]
-                .tx
-                .send(Cmd::Open(ids, tx))
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-            replies.push((shard, rx));
-        }
+        let mut per_shard = self.partition(sessions, |&id| id);
+        let replies = self.round_trip(|shard, tx| {
+            let ids = std::mem::take(&mut per_shard[shard]);
+            (!ids.is_empty()).then(|| Cmd::Open(ids, tx))
+        })?;
         let mut report = TickReport { tick: self.ticks, ..TickReport::default() };
         let mut slowest = 0.0f64;
-        for (shard, rx) in replies {
-            let st = rx
-                .recv()
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?
-                .map_err(PoolError)?;
-            report.outputs.extend(st.outputs);
-            report.faults.extend(st.faults);
-            report.reactions += st.reactions;
-            report.quarantined += st.quarantined;
-            slowest = slowest.max(st.busy_us);
+        let mut failure = None;
+        for (_, reply) in replies {
+            match reply {
+                Ok(st) => {
+                    report.outputs.extend(st.outputs);
+                    report.faults.extend(st.faults);
+                    report.reactions += st.reactions;
+                    report.quarantined += st.quarantined;
+                    slowest = slowest.max(st.busy_us);
+                }
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = failure {
+            // All or nothing: a failed shard opened none of its sessions,
+            // so close the batch on the shards that did.
+            self.close_on_shards(sessions)?;
+            return Err(PoolError(e));
         }
         report.outputs.sort_by_key(|o| o.session);
         report.faults.sort_by_key(|f| f.session);
@@ -1144,21 +1050,61 @@ impl SessionPool {
 
     /// Pushes the current observability knobs to every shard.
     fn push_config(&self) -> Result<(), PoolError> {
-        for (shard, h) in self.shards.iter().enumerate() {
-            let (tx, rx) = channel();
-            h.tx.send(Cmd::Config {
+        self.round_trip(|_, reply| {
+            Some(Cmd::Config {
                 tracing: self.tracing,
                 level_activity: self.level_activity,
                 epoch: self.epoch,
                 cohort: self.cohort,
                 engine: self.engine,
-                reply: tx,
+                reply,
             })
-            .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-            rx.recv()
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
+        })
+        .map(drop)
+    }
+
+    /// The one request/reply path to the shards: `make` builds each
+    /// shard's command around a fresh reply channel (`None` skips the
+    /// shard). Every request goes out before any reply is awaited, so
+    /// shards work concurrently; replies come back in shard order.
+    fn round_trip<T>(
+        &self,
+        mut make: impl FnMut(usize, Sender<T>) -> Option<Cmd>,
+    ) -> Result<Vec<(usize, T)>, PoolError> {
+        let mut replies = Vec::new();
+        for (shard, h) in self.shards.iter().enumerate() {
+            let (tx, rx) = channel();
+            if let Some(cmd) = make(shard, tx) {
+                h.tx.send(cmd).map_err(|_| gone(shard))?;
+                replies.push((shard, rx));
+            }
         }
-        Ok(())
+        replies
+            .into_iter()
+            .map(|(shard, rx)| Ok((shard, rx.recv().map_err(|_| gone(shard))?)))
+            .collect()
+    }
+
+    /// [`SessionPool::round_trip`] to one shard.
+    fn ask<T>(&self, shard: usize, make: impl FnOnce(Sender<T>) -> Cmd) -> Result<T, PoolError> {
+        let mut make = Some(make);
+        let mut replies = self.round_trip(|s, tx| {
+            if s == shard {
+                make.take().map(|make| make(tx))
+            } else {
+                None
+            }
+        })?;
+        Ok(replies.pop().expect("the asked shard replied").1)
+    }
+
+    /// Splits `items` by the shard their session routes to.
+    fn partition<T: Clone>(&self, items: &[T], id: impl Fn(&T) -> SessionId) -> Vec<Vec<T>> {
+        let mut per_shard = vec![Vec::new(); self.shards.len()];
+        for item in items {
+            per_shard[self.shard_of(id(item))].push(item.clone());
+        }
+        per_shard
     }
 
     /// Turns cross-shard span tracing on or off. While on, every
@@ -1189,12 +1135,10 @@ impl SessionPool {
         self.push_config()
     }
 
-    /// Switches the pool between scalar sweeps (the default, `None`) and
-    /// bit-parallel cohort execution: each shard groups its sessions by
-    /// compiled-circuit identity and advances every group through one
-    /// lockstep level sweep per tick, 32 sessions per `u64` lane word
-    /// ([`CohortWidth::U64`]) or 4-word vectorizable blocks
-    /// ([`CohortWidth::Wide`]).
+    /// Switches the pool between scalar sweeps (the default, `false`)
+    /// and bit-parallel cohort execution: each shard groups its sessions
+    /// by compiled-circuit identity and advances every group through one
+    /// lockstep level sweep per tick, 32 sessions per `u64` lane word.
     ///
     /// Cohort mode is a pure execution strategy, not a semantic mode:
     /// outputs, faults, rollback isolation and state digests are
@@ -1210,8 +1154,8 @@ impl SessionPool {
     /// # Errors
     ///
     /// Fails if a shard thread died.
-    pub fn set_cohort(&mut self, width: Option<CohortWidth>) -> Result<(), PoolError> {
-        self.cohort = width;
+    pub fn set_cohort(&mut self, on: bool) -> Result<(), PoolError> {
+        self.cohort = on;
         self.push_config()
     }
 
@@ -1247,34 +1191,23 @@ impl SessionPool {
     ///
     /// Fails if a shard thread died.
     pub fn close(&mut self, sessions: &[SessionId]) -> Result<usize, PoolError> {
-        let mut per_shard: Vec<Vec<SessionId>> = vec![Vec::new(); self.shards.len()];
-        for &id in sessions {
-            per_shard[self.shard_of(id)].push(id);
-        }
-        let mut replies = Vec::new();
-        for (shard, ids) in per_shard.into_iter().enumerate() {
-            if ids.is_empty() {
-                continue;
-            }
-            let (tx, rx) = channel();
-            self.shards[shard]
-                .tx
-                .send(Cmd::Close(ids, tx))
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-            replies.push((shard, rx));
-        }
-        let mut closed = 0;
-        for (shard, rx) in replies {
-            closed += rx
-                .recv()
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-        }
+        let closed = self.close_on_shards(sessions)?;
         for &id in sessions {
             self.roster.remove(&id);
             self.routes.remove(&id);
         }
         self.sessions -= closed;
         Ok(closed)
+    }
+
+    /// Drops `sessions` on their shards; returns how many existed.
+    fn close_on_shards(&self, sessions: &[SessionId]) -> Result<usize, PoolError> {
+        let mut per_shard = self.partition(sessions, |&id| id);
+        let replies = self.round_trip(|shard, tx| {
+            let ids = std::mem::take(&mut per_shard[shard]);
+            (!ids.is_empty()).then(|| Cmd::Close(ids, tx))
+        })?;
+        Ok(replies.into_iter().map(|(_, closed)| closed).sum())
     }
 
     /// Drains the collected spans, ordered by start timestamp.
@@ -1493,36 +1426,21 @@ impl SessionPool {
             let shard = self.shard_of(id);
             per_shard[shard].push((id, signal, value));
         }
-        let mut shard_ticks = Vec::new();
-        if self.serial_sweep {
-            // One shard at a time: each shard's wall-clock sweep time is
-            // its isolated (CPU) time, so `critical_path_us` stays
-            // honest even on an oversubscribed single-core host.
-            for (shard, inputs) in per_shard.into_iter().enumerate() {
-                let h = &self.shards[shard];
-                h.tx.send(Cmd::Tick(inputs))
-                    .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-                shard_ticks.push(
-                    h.ticks
-                        .recv()
-                        .map_err(|_| PoolError(format!("shard {shard} is gone")))?,
-                );
+        // In parallel mode every request goes out before any reply is
+        // gathered, so the shards work concurrently. Serial mode sweeps
+        // one shard at a time: each shard's wall-clock sweep time is its
+        // isolated (CPU) time, so `critical_path_us` stays honest even on
+        // an oversubscribed single-core host.
+        let mut shard_ticks = Vec::with_capacity(self.shards.len());
+        for (shard, inputs) in per_shard.into_iter().enumerate() {
+            self.shards[shard].tx.send(Cmd::Tick(inputs)).map_err(|_| gone(shard))?;
+            if self.serial_sweep {
+                shard_ticks.push(self.shards[shard].ticks.recv().map_err(|_| gone(shard))?);
             }
-        } else {
-            // Fan out first — every shard works concurrently — then
-            // gather.
-            for (shard, inputs) in per_shard.into_iter().enumerate() {
-                self.shards[shard]
-                    .tx
-                    .send(Cmd::Tick(inputs))
-                    .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-            }
+        }
+        if !self.serial_sweep {
             for (shard, h) in self.shards.iter().enumerate() {
-                shard_ticks.push(
-                    h.ticks
-                        .recv()
-                        .map_err(|_| PoolError(format!("shard {shard} is gone")))?,
-                );
+                shard_ticks.push(h.ticks.recv().map_err(|_| gone(shard))?);
             }
         }
         let mut report = TickReport { tick: self.ticks, ..TickReport::default() };
@@ -1593,23 +1511,8 @@ impl SessionPool {
     ///
     /// Fails if a shard thread died.
     pub fn digests(&self) -> Result<BTreeMap<SessionId, String>, PoolError> {
-        let mut replies = Vec::new();
-        for (shard, h) in self.shards.iter().enumerate() {
-            let (tx, rx) = channel();
-            h.tx.send(Cmd::Digests(tx))
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-            replies.push((shard, rx));
-        }
-        let mut out = BTreeMap::new();
-        for (shard, rx) in replies {
-            for (id, digest) in rx
-                .recv()
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?
-            {
-                out.insert(id, digest);
-            }
-        }
-        Ok(out)
+        let replies = self.round_trip(|_, tx| Some(Cmd::Digests(tx)))?;
+        Ok(replies.into_iter().flat_map(|(_, digests)| digests).collect())
     }
 
     /// Pool-wide metrics roll-up (render with
@@ -1619,23 +1522,10 @@ impl SessionPool {
     ///
     /// Fails if a shard thread died.
     pub fn metrics(&self) -> Result<PoolMetrics, PoolError> {
-        let mut replies = Vec::new();
-        for (shard, h) in self.shards.iter().enumerate() {
-            let (tx, rx) = channel();
-            h.tx.send(Cmd::Metrics(tx))
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-            replies.push((shard, rx));
-        }
-        let mut rollups = Vec::new();
-        for (shard, rx) in replies {
-            rollups.push(
-                rx.recv()
-                    .map_err(|_| PoolError(format!("shard {shard} is gone")))?,
-            );
-        }
-        rollups.sort_by_key(|r| r.shard);
+        // Replies arrive in shard order, the order the roll-up lists.
+        let rollups = self.round_trip(|_, tx| Some(Cmd::Metrics(tx)))?;
         Ok(PoolMetrics::from_shards(
-            rollups,
+            rollups.into_iter().map(|(_, r)| r).collect(),
             self.critical_path_us,
             self.ticks,
         ))
@@ -1655,20 +1545,9 @@ impl SessionPool {
     ///
     /// Fails if a shard thread died.
     pub fn snapshot(&self) -> Result<PoolSnapshot, PoolError> {
-        let mut replies = Vec::new();
-        for (shard, h) in self.shards.iter().enumerate() {
-            let (tx, rx) = channel();
-            h.tx.send(Cmd::Snapshot(tx))
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-            replies.push((shard, rx));
-        }
-        let mut sessions = Vec::new();
-        for (shard, rx) in replies {
-            sessions.extend(
-                rx.recv()
-                    .map_err(|_| PoolError(format!("shard {shard} is gone")))?,
-            );
-        }
+        let replies = self.round_trip(|_, tx| Some(Cmd::Snapshot(tx)))?;
+        let mut sessions: Vec<SessionSnapshot> =
+            replies.into_iter().flat_map(|(_, s)| s).collect();
         sessions.sort_by_key(|s| s.session);
         Ok(PoolSnapshot {
             version: SNAPSHOT_FORMAT_VERSION,
@@ -1712,33 +1591,21 @@ impl SessionPool {
                 self.tick_ms, snap.tick_ms
             )));
         }
-        let mut per_shard: Vec<Vec<SessionSnapshot>> = vec![Vec::new(); self.shards.len()];
-        for s in &snap.sessions {
-            per_shard[self.shard_of(SessionId(s.session))].push(s.clone());
-        }
+        let mut per_shard = self.partition(&snap.sessions, |s| SessionId(s.session));
         let now_ms = snap.ticks * self.tick_ms;
-        let mut replies = Vec::new();
         // Every shard gets a Restore — an empty one still fast-forwards
         // its clock, keeping the lockstep virtual time migrations rely
         // on.
-        for (shard, sessions) in per_shard.into_iter().enumerate() {
-            let (tx, rx) = channel();
-            self.shards[shard]
-                .tx
-                .send(Cmd::Restore {
-                    now_ms,
-                    sessions,
-                    reply: tx,
-                })
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-            replies.push((shard, rx));
-        }
+        let replies = self.round_trip(|shard, reply| {
+            Some(Cmd::Restore {
+                now_ms,
+                sessions: std::mem::take(&mut per_shard[shard]),
+                reply,
+            })
+        })?;
         let mut restored = 0;
-        for (shard, rx) in replies {
-            restored += rx
-                .recv()
-                .map_err(|_| PoolError(format!("shard {shard} is gone")))?
-                .map_err(PoolError)?;
+        for (_, reply) in replies {
+            restored += reply.map_err(PoolError)?;
         }
         self.sessions = restored;
         self.ticks = snap.ticks;
@@ -1776,22 +1643,8 @@ impl SessionPool {
         if from == shard {
             return Ok(());
         }
-        let (tx, rx) = channel();
-        self.shards[from]
-            .tx
-            .send(Cmd::Extract(session, tx))
-            .map_err(|_| PoolError(format!("shard {from} is gone")))?;
-        let snap = rx
-            .recv()
-            .map_err(|_| PoolError(format!("shard {from} is gone")))?
-            .map_err(PoolError)?;
-        let (tx, rx) = channel();
-        self.shards[shard]
-            .tx
-            .send(Cmd::Adopt(snap, tx))
-            .map_err(|_| PoolError(format!("shard {shard} is gone")))?;
-        rx.recv()
-            .map_err(|_| PoolError(format!("shard {shard} is gone")))?
+        let snap = self.ask(from, |tx| Cmd::Extract(session, tx))?.map_err(PoolError)?;
+        self.ask(shard, |tx| Cmd::Adopt(snap, tx))?
             .map_err(|e| PoolError(format!("migrating {session} to shard {shard}: {e}")))?;
         self.routes.insert(session, shard);
         Ok(())
@@ -2202,7 +2055,7 @@ mod tests {
         // mixed path: eligible sessions form cohorts, the rest fall back
         // to scalar sweeps — and every output and digest must match a
         // scalar-mode pool exactly.
-        let run = |cohort: Option<CohortWidth>| {
+        let run = |cohort: bool| {
             let mut pool = SessionPool::new(2, 10, counter_factory);
             pool.set_cohort(cohort).expect("config");
             pool.open_many(40).expect("open");
@@ -2225,9 +2078,7 @@ mod tests {
             }
             trace
         };
-        let scalar = run(None);
-        assert_eq!(scalar, run(Some(CohortWidth::U64)), "u64 lanes diverged");
-        assert_eq!(scalar, run(Some(CohortWidth::Wide)), "wide lanes diverged");
+        assert_eq!(run(false), run(true), "cohort lanes diverged");
     }
 
     #[test]
@@ -2298,7 +2149,7 @@ mod tests {
 
     #[test]
     fn close_compacts_cohort_lanes_without_disturbing_survivors() {
-        let run = |cohort: Option<CohortWidth>| {
+        let run = |cohort: bool| {
             let mut pool = SessionPool::new(2, 10, counter_factory);
             pool.set_cohort(cohort).expect("config");
             pool.open_many(33).expect("open");
@@ -2330,15 +2181,13 @@ mod tests {
             assert_eq!(pool.sessions(), 30);
             digests
         };
-        let scalar = run(None);
-        assert_eq!(scalar, run(Some(CohortWidth::U64)), "u64 lanes diverged");
-        assert_eq!(scalar, run(Some(CohortWidth::Wide)), "wide lanes diverged");
+        assert_eq!(run(false), run(true), "cohort lanes diverged");
     }
 
     #[test]
     fn a_pool_closed_down_to_zero_sessions_still_ticks() {
         let mut pool = SessionPool::new(2, 10, counter_factory);
-        pool.set_cohort(Some(CohortWidth::U64)).expect("config");
+        pool.set_cohort(true).expect("config");
         pool.open_many(5).expect("open");
         pool.tick().expect("tick");
         let all: Vec<SessionId> = (0..5).map(SessionId).collect();
@@ -2543,6 +2392,47 @@ mod tests {
         let mut pool = SessionPool::new(2, 10, factory);
         let err = pool.open_many(8).expect_err("session 7 fails to build");
         assert!(err.to_string().contains("no such score"), "{err}");
+        // All or nothing: no session of the failed batch stays open on
+        // any shard, and the pool keeps serving later batches.
+        assert_eq!(pool.sessions(), 0);
+        assert!(pool.digests().expect("digests").is_empty());
+        let r = pool.tick().expect("tick");
+        assert!(r.outputs.is_empty(), "{:?}", r.outputs);
+        assert_eq!(pool.metrics().expect("metrics").sessions(), 0);
+        let ids: Vec<SessionId> = (0..7).map(SessionId).collect();
+        assert_eq!(pool.open(&ids).expect("open").outputs.len(), 7);
+        assert_eq!(pool.tick().expect("tick").outputs.len(), 7);
+    }
+
+    #[test]
+    fn a_panicking_factory_fails_the_open_and_the_pool_keeps_ticking() {
+        let factory = |id: SessionId| -> Result<Machine, String> {
+            if id.0 == 5 {
+                panic!("score file corrupt");
+            }
+            counter_factory(id)
+        };
+        let mut pool = SessionPool::new(2, 10, factory);
+        pool.open_many(3).expect("open");
+        let err = pool.open(&[SessionId(4), SessionId(5)]).expect_err("s5 panics");
+        let msg = err.to_string();
+        assert!(msg.contains("s5") && msg.contains("factory panicked"), "{msg}");
+        assert!(msg.contains("score file corrupt"), "{msg}");
+        // The panic was contained: every shard still serves, s4 never
+        // opened, and the earlier sessions keep reacting.
+        assert_eq!(pool.sessions(), 3);
+        for _ in 0..3 {
+            let r = pool.tick().expect("tick after a factory panic");
+            assert_eq!(r.outputs.len(), 3);
+        }
+        assert_eq!(pool.digests().expect("digests").len(), 3);
+        // A restore that hits the panicking factory fails the same way.
+        let mut snap = pool.snapshot().expect("snapshot");
+        snap.sessions[0].session = 5;
+        let mut fresh = SessionPool::new(2, 10, factory);
+        let err = fresh.restore(&snap).expect_err("restore builds s5");
+        assert!(err.to_string().contains("factory panicked"), "{err}");
+        fresh.tick().expect("the restoring pool's shards survive");
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub mod token;
 
 pub use error::ParseError;
 pub use host::HostRegistry;
-pub use parser::{parse_file, parse_program};
+pub use parser::{parse_file, parse_program, MAX_NESTING};

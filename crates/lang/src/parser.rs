@@ -31,6 +31,11 @@ use hiphop_core::module::{Module, ModuleRegistry, VarDecl};
 use hiphop_core::signal::{Combine, Direction, SignalDecl};
 use hiphop_core::value::Value;
 
+/// Deepest statement plus expression nesting the parser accepts. Deeper
+/// input is refused with a located error instead of overflowing the
+/// stack of this recursive-descent parser or of the passes after it.
+pub const MAX_NESTING: usize = 512;
+
 /// Parses a source file containing one or more modules; `implements`
 /// clauses are resolved against earlier modules of the same file.
 ///
@@ -42,6 +47,7 @@ pub fn parse_file(src: &str, hosts: &HostRegistry) -> Result<ModuleRegistry, Par
     let mut p = Parser {
         toks,
         pos: 0,
+        depth: 0,
         hosts,
     };
     let mut registry = ModuleRegistry::new();
@@ -74,6 +80,8 @@ pub fn parse_program(
 struct Parser<'a> {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Statements and expressions currently open (see [`MAX_NESTING`]).
+    depth: usize,
     hosts: &'a HostRegistry,
 }
 
@@ -125,6 +133,19 @@ impl Parser<'_> {
         } else {
             Err(self.err(format!("expected `{kw}`, found {}", self.peek().tok)))
         }
+    }
+    /// Runs `f` one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
     }
     fn ident(&mut self) -> Result<String, ParseError> {
         match &self.peek().tok {
@@ -288,6 +309,10 @@ impl Parser<'_> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_at_depth)
+    }
+
+    fn stmt_at_depth(&mut self) -> Result<Stmt, ParseError> {
         let loc = self.loc();
         match &self.peek().tok {
             Tok::Semi => {
@@ -663,7 +688,7 @@ impl Parser<'_> {
     // Expressions.
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
@@ -762,11 +787,11 @@ impl Parser<'_> {
         match self.peek().tok {
             Tok::Not => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Not, Box::new(self.nested(Self::unary)?)))
             }
             Tok::Minus => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Neg, Box::new(self.nested(Self::unary)?)))
             }
             _ => self.postfix(),
         }

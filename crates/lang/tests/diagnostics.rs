@@ -56,3 +56,70 @@ fn check_errors_carry_parser_positions() {
     assert!(text.contains("Nowhere"), "{text}");
     assert!(text.contains("2:"), "line number expected: {text}");
 }
+
+/// `depth` statements nested as `open … inner … }`.
+fn nest(open: &str, depth: usize, inner: &str) -> String {
+    format!("module M(in A, out O) {{\n{}{inner}{}\n}}", open.repeat(depth), "}".repeat(depth))
+}
+
+/// Parses `src` on a thread with a 64 MiB stack (see [`on_big_stack`]).
+fn parse_deep(src: String) -> Result<(), hiphop_lang::ParseError> {
+    on_big_stack(move || parse_program(&src, "M", &HostRegistry::new()).map(drop))
+}
+
+/// Runs `f` on a thread with a 64 MiB stack. A release `hiphopc` parses
+/// and compiles MAX_NESTING levels on its 8 MiB main thread, but the
+/// unoptimized frames of a test build are about ten times larger.
+fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .expect("no stack overflow")
+}
+
+#[test]
+fn hostile_nesting_is_refused_with_a_located_error_not_a_stack_overflow() {
+    use hiphop_lang::MAX_NESTING;
+    let deep_emit = format!(
+        "module M(out O) {{\n   emit O({}1{});\n}}",
+        "(".repeat(20_000),
+        ")".repeat(20_000)
+    );
+    let deep_not = format!(
+        "module M(in A, out O) {{\n   if ({}A.now) {{ emit O(); }}\n}}",
+        "!".repeat(20_000)
+    );
+    for (what, src) in [
+        ("fork", nest("fork {\n", 20_000, "yield;")),
+        ("if", nest("if (A.now) {\n", 3_000, "emit O();")),
+        ("paren", deep_emit),
+        ("not", deep_not),
+    ] {
+        let err = parse_deep(src).expect_err(what);
+        assert!(
+            err.message.contains(&format!("nesting deeper than {MAX_NESTING} levels")),
+            "{what}: {err}"
+        );
+        assert!(err.line >= 1 && err.col >= 1, "{what}: the error is located: {err}");
+    }
+    // The refusal points at the first token past the limit: fork k
+    // opens level k on line k + 1, so fork MAX_NESTING + 1 is refused.
+    let err = parse_deep(nest("fork {\n", 20_000, "yield;")).unwrap_err();
+    assert_eq!(err.line as usize, MAX_NESTING + 2, "{err}");
+}
+
+#[test]
+fn nesting_up_to_the_limit_still_parses_and_compiles() {
+    use hiphop_lang::MAX_NESTING;
+    // The module body's statement is level 1, so MAX_NESTING - 1 forks
+    // around one `yield` use every level the parser allows.
+    let compiled = on_big_stack(|| {
+        let src = nest("fork {\n", MAX_NESTING - 1, "yield;");
+        let (m, reg) = parse_program(&src, "M", &HostRegistry::new()).expect("at the limit");
+        hiphop_compiler::compile_module(&m, &reg).map(|_| ()).map_err(|e| e.to_string())
+    });
+    compiled.expect("compiles");
+    assert!(parse_deep(nest("fork {\n", MAX_NESTING, "yield;")).is_err(), "one past the limit");
+}

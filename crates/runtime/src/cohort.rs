@@ -24,8 +24,11 @@
 //! skipped for the instant (the scalar engine aborts its sweep the same
 //! way) and the machine rolls back alone; its lane-mates never notice.
 //!
-//! Because begin/commit mirror [`Machine::react`] bit for bit, a cohort
-//! reaction is observationally identical to a scalar one:
+//! A cohort keeps no reaction frame of its own: each lane runs the
+//! machine's begin, commit, finish and rollback steps — the very code
+//! [`Machine::react`] runs — and only the sweep between them is packed.
+//! A cohort reaction is therefore observationally identical to a scalar
+//! one:
 //! [`Machine::state_digest`] — computed from the committed registers,
 //! presence bits and values that the packed planes produced — matches
 //! the scalar digest exactly, which the cohort differential battery
@@ -36,11 +39,9 @@ use crate::levelized::{
     EngineMode, LevelSchedule, CODE_AND, CODE_AND_EARLY, CODE_AND_LATE, CODE_CONST0, CODE_CONST1,
     CODE_INPUT, CODE_OR, CODE_OR_EARLY, CODE_OR_LATE, CODE_REG, CODE_TEST,
 };
-use crate::machine::{Machine, OutputEvent, Reaction};
-use crate::telemetry::{ReactionStats, TraceEvent};
+use crate::machine::{Machine, Reaction};
 use hiphop_circuit::{Action, Circuit, NetKind, TestKind};
 use hiphop_core::expr::SigAccess;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Sessions per `u64` lane word: two bits per session (value + determined).
@@ -50,27 +51,6 @@ pub const LANES_PER_WORD: usize = 32;
 const VAL_MASK: u64 = 0x5555_5555_5555_5555;
 /// Determined bits of every lane in a word (bit `2s + 1`).
 const DET_MASK: u64 = !VAL_MASK;
-
-/// Lane-word granularity of the shared sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CohortWidth {
-    /// One `u64` word (32 sessions) at a time.
-    U64,
-    /// Rows padded to 4-word blocks; kernels process `[u64; 4]` chunks
-    /// so the compiler can vectorize them (128 sessions per block).
-    Wide,
-}
-
-impl std::str::FromStr for CohortWidth {
-    type Err = String;
-    fn from_str(s: &str) -> Result<CohortWidth, String> {
-        match s {
-            "u64" => Ok(CohortWidth::U64),
-            "wide" => Ok(CohortWidth::Wide),
-            other => Err(format!("unknown cohort width '{other}' (u64|wide)")),
-        }
-    }
-}
 
 /// Per-circuit execution recipe for the cohort sweep, built once per
 /// program image and shared by its machines: for every effectful net
@@ -250,71 +230,43 @@ fn scatter(m: &mut Machine, list: &[u32], rows: &[u64], w: usize, s: usize) {
 /// every live lane already saturated to the controlling value, enabling
 /// the same early exit the scalar fold takes.
 #[inline]
-fn or_into(acc: &mut [u64], src: &[u64], neg: u64, present: &[u64], wide: bool) -> bool {
+fn or_into(acc: &mut [u64], src: &[u64], neg: u64, present: &[u64]) -> bool {
     let mut done = true;
-    if wide {
-        for ((a, s), p) in acc
-            .chunks_exact_mut(4)
-            .zip(src.chunks_exact(4))
-            .zip(present.chunks_exact(4))
-        {
-            for j in 0..4 {
-                a[j] |= (s[j] ^ neg) & VAL_MASK;
-                done &= a[j] & p[j] == p[j];
-            }
-        }
-    } else {
-        for ((a, s), p) in acc.iter_mut().zip(src).zip(present) {
-            *a |= (*s ^ neg) & VAL_MASK;
-            done &= *a & *p == *p;
-        }
+    for ((a, s), p) in acc.iter_mut().zip(src).zip(present) {
+        *a |= (*s ^ neg) & VAL_MASK;
+        done &= *a & *p == *p;
     }
     done
 }
 
 #[inline]
-fn and_into(acc: &mut [u64], src: &[u64], neg: u64, present: &[u64], wide: bool) -> bool {
+fn and_into(acc: &mut [u64], src: &[u64], neg: u64, present: &[u64]) -> bool {
     let mut done = true;
-    if wide {
-        for ((a, s), p) in acc
-            .chunks_exact_mut(4)
-            .zip(src.chunks_exact(4))
-            .zip(present.chunks_exact(4))
-        {
-            for j in 0..4 {
-                a[j] &= (s[j] ^ neg) & VAL_MASK;
-                done &= a[j] & p[j] == 0;
-            }
-        }
-    } else {
-        for ((a, s), p) in acc.iter_mut().zip(src).zip(present) {
-            *a &= (*s ^ neg) & VAL_MASK;
-            done &= *a & *p == 0;
-        }
+    for ((a, s), p) in acc.iter_mut().zip(src).zip(present) {
+        *a &= (*s ^ neg) & VAL_MASK;
+        done &= *a & *p == 0;
     }
     done
 }
 
 /// Folds a gate's fanins across the whole cohort into `acc` (value bits).
-#[allow(clippy::too_many_arguments)]
 fn fold_gate(
     rows: &[u64],
     sched: &LevelSchedule,
     i: usize,
-    w: usize,
     or_gate: bool,
     acc: &mut [u64],
     present: &[u64],
-    wide: bool,
 ) {
+    let w = acc.len();
     acc.fill(if or_gate { 0 } else { VAL_MASK });
     for &edge in sched.fanins(i) {
         let src = &rows[(edge >> 1) as usize * w..(edge >> 1) as usize * w + w];
         let neg = if edge & 1 == 1 { VAL_MASK } else { 0 };
         let saturated = if or_gate {
-            or_into(acc, src, neg, present, wide)
+            or_into(acc, src, neg, present)
         } else {
-            and_into(acc, src, neg, present, wide)
+            and_into(acc, src, neg, present)
         };
         if saturated {
             break;
@@ -330,14 +282,11 @@ fn fold_gate(
 /// lane beforehand, exactly as for a scalar reaction; the result vector
 /// is index-aligned with `lanes`.
 ///
-/// Per-lane begin (snapshot, pre-values, staged inputs) and commit
-/// (registers, presence, outputs, listeners, rollback on failure)
-/// mirror [`Machine::react`] exactly; only the pure-gate middle runs
-/// bit-parallel across the cohort.
-pub fn react_cohort(
-    lanes: &mut [&mut Machine],
-    width: CohortWidth,
-) -> Vec<Result<Reaction, RuntimeError>> {
+/// Each lane runs the machine's begin phase, the packed sweep, then the
+/// machine's commit (from the lane's packed bits) and finish phase — or
+/// its rollback step when the lane faulted; only the pure-gate middle
+/// runs bit-parallel across the cohort.
+pub fn react_cohort(lanes: &mut [&mut Machine]) -> Vec<Result<Reaction, RuntimeError>> {
     let k = lanes.len();
     if k == 0 {
         return Vec::new();
@@ -353,60 +302,25 @@ pub fn react_cohort(
     let circuit = &image.circuit;
     let sched = image.schedule.as_ref().expect("eligible lane has a schedule");
     let plan = image.cohort_plan();
+    let w = k.div_ceil(LANES_PER_WORD);
 
-    let n = circuit.nets().len();
-    let nsig = circuit.signals().len();
-    let wide = width == CohortWidth::Wide;
-    let w_raw = k.div_ceil(LANES_PER_WORD);
-    let w = if wide { w_raw.next_multiple_of(4) } else { w_raw };
-
-    let mut rows = vec![0u64; n * w];
+    let mut rows = vec![0u64; circuit.nets().len() * w];
     let mut reg_rows = vec![0u64; circuit.registers().len() * w];
-    let mut input_rows: HashMap<usize, Vec<u64>> = HashMap::new();
     // Value-bit mask of live (not yet peeled) lanes; `present` keeps the
     // full lane population for the saturation early-exit.
     let mut alive = vec![0u64; w];
-    // One flat row of emission counters per lane (k allocations would
-    // show up on the per-instant critical path).
-    let mut emit_counts = vec![0u32; k * nsig];
     let mut failures: Vec<Option<RuntimeError>> = (0..k).map(|_| None).collect();
 
-    let any_sinks = lanes.iter().any(|m| !m.sinks.is_empty());
-    let t0 = any_sinks.then(Instant::now);
-
-    // ---------------------------------------------------- per-lane begin
+    // Begin: the machine's own phase stages each lane; its presence set
+    // then seeds the input rows (value bits only — the sweep marks them
+    // determined) and its registers the packed register plane.
+    let t0 = lanes.iter().any(|m| !m.sinks.is_empty()).then(Instant::now);
     for (s, m) in lanes.iter_mut().enumerate() {
-        if m.rollback {
-            m.take_snapshot_cohort();
-        }
-        if !m.sinks.is_empty() {
-            m.emit_trace(TraceEvent::ReactionStart { seq: m.seq });
-        }
-        m.actions_run = 0;
-        m.queue_hwm = 0;
-        // A cohort instant bypasses the sparse engine's bookkeeping, so
-        // its incremental baseline is stale after this tick.
-        m.sparse.valid = false;
-        m.sig_preval.clone_from(&m.sig_val);
-        m.value[..n].fill(-1);
-        m.events = 0;
+        m.begin(circuit);
         let word = lane_word(s);
         let bit = lane_bit(s);
-        let staged = std::mem::take(&mut m.staged_inputs);
-        for (sig, val) in &staged {
-            if let Some(inet) = circuit.signal(*sig).input_net {
-                input_rows.entry(inet.index()).or_insert_with(|| vec![0u64; w])[word] |= bit;
-            }
-            if let Some(v) = val {
-                m.sig_val[sig.index()] = v.clone();
-                emit_counts[s * nsig + sig.index()] = 1;
-            }
-        }
-        let notifies = std::mem::take(&mut m.staged_notifies);
-        for (aid, v) in notifies {
-            m.asyncs[aid.index()].notified = Some(v);
-            let nnet = circuit.asyncs()[aid.index()].notify_net.index();
-            input_rows.entry(nnet).or_insert_with(|| vec![0u64; w])[word] |= bit;
+        for &net in &m.present_nets {
+            rows[net as usize * w + word] |= bit;
         }
         for (r, on) in m.regs.iter().enumerate() {
             if *on {
@@ -425,14 +339,11 @@ pub fn react_cohort(
         match sched.code[i] {
             CODE_CONST0 => rows[base..base + w].fill(DET_MASK),
             CODE_CONST1 => rows[base..base + w].fill(DET_MASK | VAL_MASK),
-            CODE_INPUT => match input_rows.get(&i) {
-                Some(row) => {
-                    for wi in 0..w {
-                        rows[base + wi] = DET_MASK | row[wi];
-                    }
+            CODE_INPUT => {
+                for cell in &mut rows[base..base + w] {
+                    *cell |= DET_MASK;
                 }
-                None => rows[base..base + w].fill(DET_MASK),
-            },
+            }
             CODE_REG => {
                 let r = sched.aux[i] as usize * w;
                 for wi in 0..w {
@@ -440,7 +351,7 @@ pub fn react_cohort(
                 }
             }
             code @ (CODE_OR | CODE_AND) => {
-                fold_gate(&rows, sched, i, w, code == CODE_OR, &mut acc, &present, wide);
+                fold_gate(&rows, sched, i, code == CODE_OR, &mut acc, &present);
                 for wi in 0..w {
                     rows[base + wi] = DET_MASK | acc[wi];
                 }
@@ -462,8 +373,7 @@ pub fn react_cohort(
                         bits &= bits - 1;
                         let s = wi * LANES_PER_WORD + t / 2;
                         let m = &mut *lanes[s];
-                        let list = &plan.scatter[i];
-                        scatter(m, list, &rows, w, s);
+                        scatter(m, &plan.scatter[i], &rows, w, s);
                         let mc = m.image.clone();
                         if m.eval_test(&mc.circuit, id) {
                             rows[base + wi] |= 1 << t;
@@ -474,7 +384,7 @@ pub fn react_cohort(
             }
             code @ (CODE_OR_EARLY | CODE_AND_EARLY | CODE_OR_LATE | CODE_AND_LATE) => {
                 let or_gate = matches!(code, CODE_OR_EARLY | CODE_OR_LATE);
-                fold_gate(&rows, sched, i, w, or_gate, &mut acc, &present, wide);
+                fold_gate(&rows, sched, i, or_gate, &mut acc, &present);
                 for wi in 0..w {
                     let mut bits = acc[wi] & alive[wi];
                     while bits != 0 {
@@ -495,12 +405,13 @@ pub fn react_cohort(
                             scatter(m, &plan.scatter[i], &rows, w, s);
                         }
                         let mc = m.image.clone();
-                        if let Err(e) =
-                            m.run_action(&mc.circuit, id, &mut emit_counts[s * nsig..(s + 1) * nsig])
-                        {
+                        let mut emit_count = std::mem::take(&mut m.emit_count);
+                        let ran = m.run_action(&mc.circuit, id, &mut emit_count);
+                        m.emit_count = emit_count;
+                        if let Err(e) = ran {
                             // Peel: the lane's remaining effectful work
                             // is skipped (the scalar sweep aborts the
-                            // same way); rollback happens at commit.
+                            // same way); it rolls back after the sweep.
                             failures[s] = Some(e);
                             alive[wi] &= !(1u64 << t);
                         }
@@ -512,75 +423,23 @@ pub fn react_cohort(
         }
     }
 
-    // --------------------------------------------------- per-lane commit
-    let dur_ns = t0
-        .map(|t| (t.elapsed().as_nanos() as u64 / k as u64).max(1))
-        .unwrap_or(0);
+    // Finish: each lane commits straight from its packed bits through the
+    // machine's one commit, then runs the machine's own finish phase,
+    // reporting an equal share of the sweep's wall time.
+    let share = t0.map(|t| t.elapsed() / k as u32);
     let mut results = Vec::with_capacity(k);
     for (s, m) in lanes.iter_mut().enumerate() {
         if let Some(e) = failures[s].take() {
-            if m.rollback {
-                m.restore_snapshot_cohort();
-                m.poisoned = false;
-            } else {
-                m.poisoned = true;
-            }
+            m.abort(EngineMode::Levelized);
             results.push(Err(e));
             continue;
         }
-        m.events = sched.order.len();
         let word = lane_word(s);
         let shift = 2 * (s % LANES_PER_WORD);
-        let bit = |i: usize| rows[i * w + word] >> shift & 1 != 0;
-        for (r, reg) in circuit.registers().iter().enumerate() {
-            m.regs[r] = bit(reg.input.index());
-        }
-        for (si, info) in circuit.signals().iter().enumerate() {
-            m.last_present[si] = bit(info.status_net.index());
-        }
-        if let Some(t) = circuit.terminated_net {
-            if bit(t.index()) {
-                m.terminated = true;
-            }
-        }
-        let outputs = m
-            .image
-            .out_signals
-            .iter()
-            .map(|(i, name)| OutputEvent {
-                name: name.clone(),
-                present: m.last_present[*i as usize],
-                value: m.sig_val[*i as usize].clone(),
-            })
-            .collect();
-        let reaction = Reaction {
-            seq: m.seq,
-            outputs,
-            terminated: m.terminated,
-            events: m.events,
-        };
-        m.seq += 1;
-        if !m.sinks.is_empty() {
-            m.emit_trace(TraceEvent::ReactionEnd {
-                reaction: &reaction,
-                stats: ReactionStats {
-                    duration_ns: dur_ns,
-                    events: m.events,
-                    actions: m.actions_run,
-                    queue_hwm: 0,
-                    engine: EngineMode::Levelized,
-                },
-            });
-        }
-        if let Some(tr) = &mut m.trace {
-            tr.push(reaction.clone());
-        }
-        let listeners = m.listeners.clone();
-        for l in listeners {
-            l(&reaction);
-        }
-        m.poisoned = false;
-        results.push(Ok(reaction));
+        m.commit_all(circuit, false, |i| rows[i * w + word] >> shift & 1 != 0);
+        m.events = sched.order.len();
+        let took = share.filter(|_| !m.sinks.is_empty());
+        results.push(Ok(m.finish(EngineMode::Levelized, took)));
     }
     results
 }

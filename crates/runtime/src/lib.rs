@@ -52,7 +52,7 @@ pub mod telemetry;
 pub mod waveform;
 
 pub use causality::CausalityReport;
-pub use cohort::{cohort_key, react_cohort, CohortWidth};
+pub use cohort::{cohort_key, react_cohort};
 pub use error::{CycleNet, RuntimeError};
 pub use flight::{
     DigestMismatch, Json, Recorder, RecorderConfig, RecordedInput, RecordedTick, Recording,

@@ -41,7 +41,7 @@ use hiphop_core::value::Value;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Per-net evaluation strategy, precomputed once per program image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,8 +145,8 @@ struct Chaos {
 /// of an already-running circuit allocates only the state below.
 ///
 /// Fields the cohort engine (`crate::cohort`) touches are `pub(crate)`:
-/// the cohort sweep executes each lane's begin/commit phases out-of-line
-/// while the shared bit-parallel sweep owns the pure gates.
+/// each lane runs the machine's own begin, finish and rollback phases
+/// around the shared bit-parallel sweep, which owns the pure gates.
 pub struct Machine {
     pub(crate) image: Rc<ProgramImage>,
 
@@ -177,13 +177,13 @@ pub struct Machine {
     resolved: Vec<bool>,
     pub(crate) cx: ConstructiveScratch,
     // Per-reaction emission counters (combine checking), reused.
-    emit_count: Vec<u32>,
+    pub(crate) emit_count: Vec<u32>,
     // Presence of input/notify nets at the last staged instant: the
     // plane, the nets whose bit is set (cleared one by one at the next
     // staging), and the previous instant's list while the sparse engine
     // seeds from it.
     pub(crate) input_present: Vec<bool>,
-    present_nets: Vec<u32>,
+    pub(crate) present_nets: Vec<u32>,
     prev_present: Vec<u32>,
     pub(crate) events: usize,
     pub(crate) actions_run: usize,
@@ -536,35 +536,29 @@ impl Machine {
     /// of the failed reaction, which are consumed.
     pub fn react(&mut self) -> Result<Reaction, RuntimeError> {
         let engine = self.engine();
-        // The dense engines copy every value into `sig_preval` up front,
-        // and that copy doubles as the value backup, so they roll back
-        // through the swap pair; the sparse engine syncs pre-values
-        // lazily and needs the full copy.
-        let swap_pair = engine != EngineMode::Sparse;
-        if self.rollback {
-            if swap_pair {
-                self.take_snapshot_cohort();
-            } else {
+        let image = self.image.clone();
+        // Telemetry: time the reaction only when someone is listening.
+        let t0 = (!self.sinks.is_empty()).then(Instant::now);
+        let swept = if engine == EngineMode::Sparse {
+            // The sparse engine syncs pre-values lazily, so its rollback
+            // point is the full copy rather than the swap pair `begin`
+            // takes.
+            if self.rollback {
                 self.take_snapshot();
             }
-        }
-        let result = self.react_core(engine);
-        match &result {
-            Ok(_) => self.poisoned = false,
-            Err(_) => {
-                if self.rollback {
-                    if swap_pair {
-                        self.restore_snapshot_cohort();
-                    } else {
-                        self.restore_snapshot();
-                    }
-                    self.poisoned = false;
-                } else {
-                    self.poisoned = true;
-                }
+            self.start();
+            self.sparse_react(&image)
+        } else {
+            self.begin(&image.circuit);
+            self.dense_react(&image, engine)
+        };
+        match swept {
+            Ok(()) => Ok(self.finish(engine, t0.map(|t| t.elapsed()))),
+            Err(e) => {
+                self.abort(engine);
+                Err(e)
             }
         }
-        result
     }
 
     /// Whether a mid-reaction error left the machine in a half-stabilized
@@ -737,14 +731,15 @@ impl Machine {
         self.log.truncate(snap.log_len);
     }
 
-    /// Swap-pair snapshot, used by the cohort lanes and the scalar dense
-    /// engines: same rollback point as [`Machine::take_snapshot`]
-    /// without its two `Vec<Value>` clones. The begin phase's
+    /// Swap-pair snapshot, taken by [`Machine::begin`] for every full
+    /// sweep (the block walker, the constructive reference, each cohort
+    /// lane): same rollback point as [`Machine::take_snapshot`] without
+    /// its two `Vec<Value>` clones. The begin phase's
     /// `sig_preval ← sig_val` copy doubles as the value backup (nothing
     /// writes `sig_preval` during a sweep), and the old pre-values are
     /// parked in the snapshot by swap instead of clone. Must be called
     /// *before* that begin-phase copy.
-    pub(crate) fn take_snapshot_cohort(&mut self) {
+    pub(crate) fn take_swap_snapshot(&mut self) {
         let snap = &mut self.snapshot;
         std::mem::swap(&mut snap.sig_preval, &mut self.sig_preval);
         snap.vars.clone_from(&self.vars);
@@ -758,10 +753,10 @@ impl Machine {
         snap.log_len = self.log.len();
     }
 
-    /// Rolls a failed dense reaction or cohort lane back to the
-    /// [`Machine::take_snapshot_cohort`] point — the machine ends up in
+    /// Rolls a failed full sweep back to the
+    /// [`Machine::take_swap_snapshot`] point — the machine ends up in
     /// the exact state [`Machine::restore_snapshot`] would produce.
-    pub(crate) fn restore_snapshot_cohort(&mut self) {
+    pub(crate) fn restore_swap_snapshot(&mut self) {
         // `sig_preval` still holds the begin phase's copy of the
         // pre-reaction `sig_val`; the pre-reaction `sig_preval` was
         // parked in the snapshot by swap.
@@ -909,33 +904,46 @@ impl Machine {
         ))
     }
 
-    fn react_core(&mut self, engine: EngineMode) -> Result<Reaction, RuntimeError> {
-        let image = self.image.clone();
-
-        // Telemetry: time the reaction only when someone is listening.
-        let t0 = if self.sinks.is_empty() {
-            None
-        } else {
-            self.emit_trace(TraceEvent::ReactionStart { seq: self.seq });
-            Some(Instant::now())
-        };
+    /// Opens a reaction under any execution strategy: zeroed
+    /// per-reaction counters and, when a sink listens, `ReactionStart`.
+    fn start(&mut self) {
         self.actions_run = 0;
         self.queue_hwm = 0;
         self.events = 0;
-
-        // Run the engine, then commit registers, presence and
-        // termination — only after the last fallible step, since
-        // registers are excluded from the rollback snapshot. An
-        // incremental sparse instant commits through its deferred change
-        // records.
-        if engine == EngineMode::Sparse {
-            let rebuild = self.sparse_react(&image)?;
-            self.sparse_commit(&image.circuit, rebuild);
-        } else {
-            self.dense_react(&image, engine)?;
-            self.commit_all(&image.circuit, false);
+        if !self.sinks.is_empty() {
+            self.emit_trace(TraceEvent::ReactionStart { seq: self.seq });
         }
+    }
 
+    /// Begin phase of a full sweep — the block walker, the constructive
+    /// reference and every cohort lane: the swap-pair rollback point,
+    /// [`Machine::start`], the pre-value copy and the staged inputs
+    /// (values, emission counts and the presence set, `present_nets`).
+    pub(crate) fn begin(&mut self, circuit: &Circuit) {
+        if self.rollback {
+            self.take_swap_snapshot();
+        }
+        self.start();
+        // Any non-sparse instant invalidates the sparse baseline — the
+        // shared `value` plane is about to be overwritten wholesale.
+        self.sparse.valid = false;
+        self.sig_preval.clone_from(&self.sig_val);
+        self.emit_count.clear();
+        self.emit_count.resize(circuit.signals().len(), 0);
+        self.stage_inputs(circuit, None);
+        self.prev_present.clear();
+        // No ⊥ reset: debug builds poison the plane so a read of a net
+        // not yet swept (a missing dependency edge) trips `EnvView`.
+        #[cfg(debug_assertions)]
+        self.value.fill(-1);
+    }
+
+    /// Finish phase shared by every execution strategy, once the sweep
+    /// has committed ([`Machine::commit_all`]): builds the outputs and
+    /// publishes the reaction — the trace, the listeners and, with the
+    /// reaction's measured wall time when a sink listens, `ReactionEnd`.
+    pub(crate) fn finish(&mut self, engine: EngineMode, took: Option<Duration>) -> Reaction {
+        let image = self.image.clone();
         let outputs = image
             .out_signals
             .iter()
@@ -952,11 +960,11 @@ impl Machine {
             events: self.events,
         };
         self.seq += 1;
-        if let Some(t) = t0 {
+        if let Some(took) = took {
             self.emit_trace(TraceEvent::ReactionEnd {
                 reaction: &reaction,
                 stats: ReactionStats {
-                    duration_ns: t.elapsed().as_nanos() as u64,
+                    duration_ns: took.as_nanos() as u64,
                     events: self.events,
                     actions: self.actions_run,
                     queue_hwm: self.queue_hwm,
@@ -971,57 +979,53 @@ impl Machine {
             let listener = self.listeners[k].clone();
             listener(&reaction);
         }
-        Ok(reaction)
+        self.poisoned = false;
+        reaction
     }
 
-    /// Reaction body of the block walker and the constructive
-    /// reference, up to (not including) the register commit: pre-value
-    /// sync, input staging, then the engine's sweep or propagation.
-    fn dense_react(&mut self, image: &ProgramImage, engine: EngineMode) -> Result<(), RuntimeError> {
-        let circuit = &image.circuit;
-        // Any non-sparse instant invalidates the sparse baseline — the
-        // shared `value` plane is about to be overwritten wholesale.
-        self.sparse.valid = false;
-
-        // Previous-instant values snapshot.
-        self.sig_preval.clone_from(&self.sig_val);
-
-        let mut emit_count = std::mem::take(&mut self.emit_count);
-        emit_count.clear();
-        emit_count.resize(circuit.signals().len(), 0);
-        self.stage_inputs(circuit, &mut emit_count, None);
-        self.prev_present.clear();
-
-        let result = if engine == EngineMode::Constructive {
-            self.constructive_fixpoint(circuit, &mut emit_count)
+    /// Rollback step shared by every execution strategy: a failed
+    /// reaction restores its rollback point — the swap pair of a full
+    /// sweep, the sparse engine's full copy — or, with rollback
+    /// disabled, poisons the machine. Registers need no restore: a
+    /// failed sweep never reaches [`Machine::commit_all`].
+    pub(crate) fn abort(&mut self, engine: EngineMode) {
+        if !self.rollback {
+            self.poisoned = true;
+            return;
+        }
+        if engine == EngineMode::Sparse {
+            self.restore_snapshot();
         } else {
-            // No ⊥ reset: debug builds poison the plane so a read of a
-            // net not yet swept (a missing dependency edge) trips `EnvView`.
-            #[cfg(debug_assertions)]
-            self.value.fill(-1);
+            self.restore_swap_snapshot();
+        }
+        self.poisoned = false;
+    }
+
+    /// Sweep and commit of the block walker or the constructive
+    /// reference, after [`Machine::begin`] staged the instant.
+    fn dense_react(&mut self, image: &ProgramImage, engine: EngineMode) -> Result<(), RuntimeError> {
+        let mut emit_count = std::mem::take(&mut self.emit_count);
+        let result = if engine == EngineMode::Constructive {
+            self.constructive_fixpoint(&image.circuit, &mut emit_count)
+        } else {
             self.walk(image, &mut emit_count, None)
         };
         self.emit_count = emit_count;
         result?;
-
         if self.level_activity.is_some() && engine == EngineMode::Levelized {
             self.tally_level_activity();
         }
+        self.commit_plane(&image.circuit, false);
         Ok(())
     }
 
     /// Applies the staged inputs and async notifications: writes their
-    /// values and emission counts and replaces the presence set — the
-    /// previous instant's nets are parked in `prev_present` for the
-    /// sparse engine's delta seeding. While a sparse sweep is tracking,
+    /// values and emission counts (into `emit_count`) and replaces the
+    /// presence set — the previous instant's nets are parked in
+    /// `prev_present` for the sparse engine's delta seeding. While a sparse sweep is tracking,
     /// each value write is recorded for the lazy pre-value sync and, with
     /// `wake`, wakes the signal's `nowval`/`preval` readers.
-    fn stage_inputs(
-        &mut self,
-        circuit: &Circuit,
-        emit_count: &mut [u32],
-        wake: Option<&SparseTables>,
-    ) {
+    fn stage_inputs(&mut self, circuit: &Circuit, wake: Option<&SparseTables>) {
         debug_assert!(self.prev_present.is_empty());
         std::mem::swap(&mut self.present_nets, &mut self.prev_present);
         for &i in &self.prev_present {
@@ -1035,7 +1039,7 @@ impl Machine {
             if let Some(v) = val {
                 let si = sig.index();
                 self.sig_val[si] = v;
-                emit_count[si] = 1;
+                self.emit_count[si] = 1;
                 if self.sparse.tracking {
                     self.sparse.touched.push(si as u32);
                 }
@@ -1065,26 +1069,41 @@ impl Machine {
         }
     }
 
-    /// Publishes a full sweep: every register, presence bit and the
-    /// termination flag. With `queue_flips` (the sparse engine's rebuild
+    /// The one commit of a full sweep — every register, presence bit
+    /// and the termination flag — reading each net's value through `on`:
+    /// the `value` plane ([`Machine::commit_plane`]) or a cohort lane's
+    /// packed rows. With `queue_flips` (the sparse engine's rebuild
     /// instants) rewritten registers are queued to seed the next
-    /// incremental instant.
-    fn commit_all(&mut self, circuit: &Circuit, queue_flips: bool) {
+    /// incremental instant. Runs only after the sweep's last fallible
+    /// step: registers are not in the rollback snapshot.
+    pub(crate) fn commit_all(
+        &mut self,
+        circuit: &Circuit,
+        queue_flips: bool,
+        on: impl Fn(usize) -> bool,
+    ) {
         for (r, reg) in circuit.registers().iter().enumerate() {
-            let new = self.value[reg.input.index()] == 1;
+            let new = on(reg.input.index());
             if queue_flips && self.regs[r] != new {
                 self.sparse.pending_reg_nets.push(reg.output.0);
             }
             self.regs[r] = new;
         }
         for (s, info) in circuit.signals().iter().enumerate() {
-            self.last_present[s] = self.value[info.status_net.index()] == 1;
+            self.last_present[s] = on(info.status_net.index());
         }
         if let Some(t) = circuit.terminated_net {
-            if self.value[t.index()] == 1 {
+            if on(t.index()) {
                 self.terminated = true;
             }
         }
+    }
+
+    /// [`Machine::commit_all`] from the `value` plane.
+    fn commit_plane(&mut self, circuit: &Circuit, queue_flips: bool) {
+        let value = std::mem::take(&mut self.value);
+        self.commit_all(circuit, queue_flips, |i| value[i] == 1);
+        self.value = value;
     }
 
     /// Processes every queued mailbox operation, running one reaction per
@@ -1369,10 +1388,8 @@ impl Machine {
     /// Sparse-engine reaction body: syncs the incremental pre-value and
     /// emission-counter planes, stages the inputs, and runs the dirty
     /// sweep — or, when the baseline is invalid, one full walk that
-    /// rebuilds it — leaving deferred commit records for
-    /// [`Machine::sparse_commit`]. Returns whether this instant rebuilt
-    /// the baseline.
-    fn sparse_react(&mut self, image: &ProgramImage) -> Result<bool, RuntimeError> {
+    /// rebuilds it — then commits through [`Machine::sparse_commit`].
+    fn sparse_react(&mut self, image: &ProgramImage) -> Result<(), RuntimeError> {
         let circuit = &image.circuit;
         let t = image.sparse();
         self.sparse.ensure_allocated(circuit.nets().len(), t.levels);
@@ -1431,8 +1448,8 @@ impl Machine {
         }
 
         self.sparse.tracking = true;
+        self.stage_inputs(circuit, (!rebuild).then_some(t));
         let mut emit_count = std::mem::take(&mut self.emit_count);
-        self.stage_inputs(circuit, &mut emit_count, (!rebuild).then_some(t));
         let result = if rebuild {
             self.walk(image, &mut emit_count, Some(t))
         } else {
@@ -1445,7 +1462,8 @@ impl Machine {
         if rebuild && armed {
             self.tally_level_activity();
         }
-        Ok(rebuild)
+        self.sparse_commit(circuit, rebuild);
+        Ok(())
     }
 
     /// The incremental sweep: seeds the per-level worklists from changed
@@ -1624,7 +1642,7 @@ impl Machine {
     /// then per-level activity, and finally the baseline validity flag.
     fn sparse_commit(&mut self, circuit: &Circuit, rebuild: bool) {
         if rebuild {
-            self.commit_all(circuit, true);
+            self.commit_plane(circuit, true);
         } else {
             let mut commit_regs = std::mem::take(&mut self.sparse.commit_regs);
             for &r in &commit_regs {

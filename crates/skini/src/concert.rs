@@ -20,7 +20,7 @@ use hiphop_eventloop::sessions::{
     Rebalancer, RebalancerConfig, SessionId, SessionOutputs, SessionPool,
 };
 use hiphop_runtime::{
-    CohortWidth, EngineMode, Machine, PoolMetrics, PoolSnapshot, RecorderConfig, Recording,
+    EngineMode, Machine, PoolMetrics, PoolSnapshot, RecorderConfig, Recording,
     ReplayOptions, ReplayReport, SpanRecord,
 };
 use std::cell::RefCell;
@@ -90,9 +90,9 @@ pub struct ConcertRunOptions {
     /// Emit tick/sweep/reaction spans (collected in [`ConcertRun::spans`]).
     pub trace_spans: bool,
     /// Advance sessions through bit-parallel lockstep cohorts instead of
-    /// per-session scalar sweeps (`None` = scalar). Pure execution
-    /// strategy: the concert digest is identical either way.
-    pub cohort: Option<CohortWidth>,
+    /// per-session scalar sweeps. Pure execution strategy: the concert
+    /// digest is identical either way.
+    pub cohort: bool,
     /// Force every session onto this evaluation engine (`None` keeps the
     /// per-machine default). Like `cohort`, a pure execution strategy:
     /// digests are identical under any engine.
@@ -324,8 +324,8 @@ pub fn run_with(cfg: &ConcertConfig, mut opts: ConcertRunOptions) -> Result<Conc
     if opts.trace_spans {
         pool.set_tracing(true).map_err(|e| e.to_string())?;
     }
-    if opts.cohort.is_some() {
-        pool.set_cohort(opts.cohort).map_err(|e| e.to_string())?;
+    if opts.cohort {
+        pool.set_cohort(true).map_err(|e| e.to_string())?;
     }
     if opts.engine.is_some() {
         pool.set_engine(opts.engine).map_err(|e| e.to_string())?;
@@ -433,7 +433,7 @@ pub fn run_with(cfg: &ConcertConfig, mut opts: ConcertRunOptions) -> Result<Conc
 /// journal, or a dead shard. Digest mismatches are reported in the
 /// returned [`ReplayReport`], not raised as errors.
 pub fn replay(rec: &Recording, shards: usize, opts: &ReplayOptions) -> Result<ReplayReport, String> {
-    replay_with(rec, shards, opts, None, None)
+    replay_with(rec, shards, opts, false, None)
 }
 
 /// [`replay`] with execution-strategy overrides: `cohort` re-executes
@@ -450,7 +450,7 @@ pub fn replay_with(
     rec: &Recording,
     shards: usize,
     opts: &ReplayOptions,
-    cohort: Option<CohortWidth>,
+    cohort: bool,
     engine: Option<EngineMode>,
 ) -> Result<ReplayReport, String> {
     let (shape, seed, chaos_rate) = parse_scenario(&rec.scenario)?;
@@ -459,8 +459,8 @@ pub fn replay_with(
         rec.tick_ms.max(1),
         concert_factory(shape, seed, chaos_rate),
     );
-    if cohort.is_some() {
-        pool.set_cohort(cohort).map_err(|e| e.to_string())?;
+    if cohort {
+        pool.set_cohort(true).map_err(|e| e.to_string())?;
     }
     if engine.is_some() {
         pool.set_engine(engine).map_err(|e| e.to_string())?;
@@ -538,18 +538,16 @@ mod tests {
     #[test]
     fn cohort_and_scalar_concerts_are_digest_identical() {
         let base = run(&ConcertConfig::new(20, 2, 12, 31)).expect("scalar");
-        for width in [CohortWidth::U64, CohortWidth::Wide] {
-            let opts = ConcertRunOptions {
-                cohort: Some(width),
-                ..ConcertRunOptions::default()
-            };
-            let cohort = run_with(&ConcertConfig::new(20, 2, 12, 31), opts).expect("cohort");
-            assert_eq!(
-                base.digest, cohort.report.digest,
-                "[{width:?}] cohort execution changed concert behaviour"
-            );
-            assert_eq!(base.played, cohort.report.played);
-        }
+        let opts = ConcertRunOptions {
+            cohort: true,
+            ..ConcertRunOptions::default()
+        };
+        let cohort = run_with(&ConcertConfig::new(20, 2, 12, 31), opts).expect("cohort");
+        assert_eq!(
+            base.digest, cohort.report.digest,
+            "cohort execution changed concert behaviour"
+        );
+        assert_eq!(base.played, cohort.report.played);
     }
 
     #[test]
@@ -601,7 +599,7 @@ mod tests {
             &rec,
             3,
             &ReplayOptions::default(),
-            None,
+            false,
             Some(EngineMode::Sparse),
         )
         .expect("replays");
@@ -627,7 +625,7 @@ mod tests {
             &cfg,
             ConcertRunOptions {
                 record: Some(every_instant),
-                cohort: Some(CohortWidth::U64),
+                cohort: true,
                 ..ConcertRunOptions::default()
             },
         )
@@ -636,7 +634,7 @@ mod tests {
 
         // …and replay it on a *scalar* pool: every checkpoint must match.
         let report =
-            replay_with(&cohort_rec, 3, &ReplayOptions::default(), None, None).expect("replays");
+            replay_with(&cohort_rec, 3, &ReplayOptions::default(), false, None).expect("replays");
         assert!(
             report.ok(),
             "cohort→scalar digest mismatches: {:?}",
@@ -644,7 +642,7 @@ mod tests {
         );
         assert!(report.checked > 0, "checkpoints were actually verified");
 
-        // The reverse direction: scalar recording, cohort (wide) replay.
+        // The reverse direction: scalar recording, cohort replay.
         let scalar_run = run_with(
             &cfg,
             ConcertRunOptions {
@@ -662,7 +660,7 @@ mod tests {
             &scalar_rec,
             4,
             &ReplayOptions::default(),
-            Some(CohortWidth::Wide),
+            true,
             None,
         )
         .expect("replays");
@@ -701,7 +699,7 @@ mod tests {
             from_snapshot: Some(snap),
             ..ReplayOptions::default()
         };
-        let report = replay_with(&rec, 2, &replay_opts, None, None).expect("replays");
+        let report = replay_with(&rec, 2, &replay_opts, false, None).expect("replays");
         assert_eq!(report.ticks, 4, "only the suffix re-ran");
         assert!(report.ok(), "mismatches: {:?}", report.mismatches);
         assert!(report.checked > 0, "checkpoints were actually verified");

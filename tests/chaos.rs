@@ -340,13 +340,12 @@ fn pool_chaos_is_contained_to_the_faulting_session() {
 ///
 /// 1. the chaotic cohort pool reproduces the chaotic *scalar* pool
 ///    exactly — same digests, same fault set, same rollback count —
-///    across 1/3/4 shards and both lane widths;
+///    across 1/3/4 shards;
 /// 2. never-faulted lane-mates match the fault-free scalar shadow
 ///    digest for digest (blast radius zero, even inside a lane word).
 #[test]
 fn pool_chaos_lands_inside_cohorts_and_peels_the_faulting_lane_alone() {
     use hiphop::eventloop::sessions::{SessionId, SessionPool};
-    use hiphop::runtime::CohortWidth;
     use std::collections::BTreeSet;
 
     const SESSIONS: u64 = 33; // one full lane word plus a straggler
@@ -366,7 +365,7 @@ fn pool_chaos_lands_inside_cohorts_and_peels_the_faulting_lane_alone() {
         splitmix64(MASTER ^ id.0).is_multiple_of(4)
     }
 
-    fn build_pool(shards: usize, chaos: bool, cohort: Option<CohortWidth>) -> SessionPool {
+    fn build_pool(shards: usize, chaos: bool, cohort: bool) -> SessionPool {
         let mut pool = SessionPool::new(shards, 10, move |id| {
             let module = synthetic_program(30, MASTER);
             let c = compile_module_with(&module, &ModuleRegistry::new(), CompileOptions::default())
@@ -414,11 +413,11 @@ fn pool_chaos_lands_inside_cohorts_and_peels_the_faulting_lane_alone() {
         (pool.digests().expect("digests"), faulted, total)
     }
 
-    let mut shadow = build_pool(3, false, None);
+    let mut shadow = build_pool(3, false, false);
     let (clean_digests, clean_faults, n) = run(&mut shadow);
     assert!(clean_faults.is_empty() && n == 0, "the shadow never faults");
 
-    let mut scalar = build_pool(3, true, None);
+    let mut scalar = build_pool(3, true, false);
     let (scalar_digests, scalar_faults, scalar_total) = run(&mut scalar);
     assert!(
         !scalar_faults.is_empty(),
@@ -426,32 +425,27 @@ fn pool_chaos_lands_inside_cohorts_and_peels_the_faulting_lane_alone() {
         (0..SESSIONS).filter(|&s| chaotic(SessionId(s))).count()
     );
 
-    for (shards, width) in [
-        (1usize, CohortWidth::U64),
-        (3, CohortWidth::U64),
-        (4, CohortWidth::U64),
-        (3, CohortWidth::Wide),
-    ] {
-        let mut pool = build_pool(shards, true, Some(width));
+    for shards in [1usize, 3, 4] {
+        let mut pool = build_pool(shards, true, true);
         let (digests, faulted, total) = run(&mut pool);
         // 1. Cohort mode reproduces the chaotic scalar run exactly: the
         //    per-lane chaos streams, peels and rollbacks are the same
         //    events the scalar sweep would produce.
         assert_eq!(
             digests, scalar_digests,
-            "{shards} shard(s) [{width:?}]: digests diverged from scalar chaos"
+            "{shards} shard(s): digests diverged from scalar chaos"
         );
         assert_eq!(
             faulted, scalar_faults,
-            "{shards} shard(s) [{width:?}]: fault set diverged from scalar chaos"
+            "{shards} shard(s): fault set diverged from scalar chaos"
         );
-        assert_eq!(total, scalar_total, "{shards} shard(s) [{width:?}]: fault count");
+        assert_eq!(total, scalar_total, "{shards} shard(s): fault count");
         // 2. Peel isolation: lane-mates never notice a peeled neighbor.
         for s in (0..SESSIONS).map(SessionId) {
             if !faulted.contains(&s) {
                 assert_eq!(
                     digests[&s], clean_digests[&s],
-                    "session {s:?} [{width:?}] was perturbed by a lane-mate's peel"
+                    "session {s:?} ({shards} shard(s)) was perturbed by a lane-mate's peel"
                 );
             }
         }

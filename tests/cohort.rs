@@ -8,7 +8,7 @@
 //!
 //! 1. the full Esterel-kernel conformance table runs with K=33 sessions
 //!    per case (forcing a partial lane word) through the cohort path and
-//!    against per-session scalar shadows, under both lane widths;
+//!    against per-session scalar shadows;
 //! 2. a seeded sweep over random synthetic programs diverges and
 //!    re-admits random lane subsets mid-run (the peel/re-admit
 //!    mechanics) and checks every digest against an all-scalar shadow
@@ -24,11 +24,9 @@ mod common;
 use common::{KernelCase, KERNEL_CASES};
 use hiphop::lang::{parse_program, HostRegistry};
 use hiphop::prelude::*;
-use hiphop::runtime::{react_cohort, CohortWidth};
+use hiphop::runtime::react_cohort;
 use hiphop_bench::synthetic_program;
 use hiphop_core::rng::Rng;
-
-const WIDTHS: [CohortWidth; 2] = [CohortWidth::U64, CohortWidth::Wide];
 
 /// Builds `k` identical machines for a kernel case.
 fn case_machines(case: &KernelCase, k: usize) -> Vec<Machine> {
@@ -103,7 +101,6 @@ fn differential(
     ctx: &str,
     machines: &mut [Machine],
     shadows: &mut [Machine],
-    width: CohortWidth,
     instants: usize,
     schedule: impl Fn(usize, usize) -> Vec<(String, Option<Value>)>,
 ) {
@@ -115,7 +112,7 @@ fn differential(
             stage(&mut shadows[s], &inputs);
         }
         let mut lanes: Vec<&mut Machine> = machines.iter_mut().collect();
-        let results = react_cohort(&mut lanes, width);
+        let results = react_cohort(&mut lanes);
         assert_eq!(results.len(), k, "{ctx}: result vector must be lane-aligned");
         for s in 0..k {
             let want = shadows[s].react();
@@ -129,47 +126,45 @@ fn differential(
 /// The whole conformance table, 33 lanes per case (a full lane word plus
 /// one straggler), identical stimulus on every lane: the cohort must
 /// reproduce the hand-written per-instant oracle AND the scalar shadow's
-/// digests under both widths.
+/// digests.
 #[test]
 fn kernel_table_with_33_lanes_matches_the_oracle_and_scalar_digests() {
     const K: usize = 33;
     for case in KERNEL_CASES {
-        for width in WIDTHS {
-            let mut machines = case_machines(case, K);
-            let mut shadows = case_machines(case, K);
-            let boot: &[&[&str]] = &[&[]];
-            let all: Vec<&[&str]> = boot.iter().chain(case.stimulus.iter()).copied().collect();
-            for (t, inputs) in all.iter().enumerate() {
-                let staged: Vec<(String, Option<Value>)> = inputs
+        let mut machines = case_machines(case, K);
+        let mut shadows = case_machines(case, K);
+        let boot: &[&[&str]] = &[&[]];
+        let all: Vec<&[&str]> = boot.iter().chain(case.stimulus.iter()).copied().collect();
+        for (t, inputs) in all.iter().enumerate() {
+            let staged: Vec<(String, Option<Value>)> = inputs
+                .iter()
+                .map(|n| ((*n).to_string(), Some(Value::from(true))))
+                .collect();
+            for s in 0..K {
+                stage(&mut machines[s], &staged);
+                stage(&mut shadows[s], &staged);
+            }
+            let mut lanes: Vec<&mut Machine> = machines.iter_mut().collect();
+            let results = react_cohort(&mut lanes);
+            for s in 0..K {
+                let want = shadows[s].react();
+                assert_lane_matches(
+                    case.name, s, t, &results[s], &want, &machines[s], &shadows[s],
+                );
+                let r = results[s].as_ref().expect("kernel cases never fault");
+                let mut got: Vec<String> = r
+                    .outputs
                     .iter()
-                    .map(|n| ((*n).to_string(), Some(Value::from(true))))
+                    .filter(|o| o.present)
+                    .map(|o| o.name.to_string())
                     .collect();
-                for s in 0..K {
-                    stage(&mut machines[s], &staged);
-                    stage(&mut shadows[s], &staged);
-                }
-                let mut lanes: Vec<&mut Machine> = machines.iter_mut().collect();
-                let results = react_cohort(&mut lanes, width);
-                for s in 0..K {
-                    let want = shadows[s].react();
-                    assert_lane_matches(
-                        case.name, s, t, &results[s], &want, &machines[s], &shadows[s],
-                    );
-                    let r = results[s].as_ref().expect("kernel cases never fault");
-                    let mut got: Vec<String> = r
-                        .outputs
-                        .iter()
-                        .filter(|o| o.present)
-                        .map(|o| o.name.to_string())
-                        .collect();
-                    got.sort();
-                    assert_eq!(
-                        got.join(" "),
-                        case.expected[t],
-                        "{} [cohort {width:?}]: lane {s} instant {t}",
-                        case.name
-                    );
-                }
+                got.sort();
+                assert_eq!(
+                    got.join(" "),
+                    case.expected[t],
+                    "{} [cohort]: lane {s} instant {t}",
+                    case.name
+                );
             }
         }
     }
@@ -184,30 +179,27 @@ fn kernel_table_with_divergent_lanes_is_bit_identical_to_scalar() {
     const K: usize = 33;
     for case in KERNEL_CASES {
         let instants = case.stimulus.len() + 1;
-        for width in WIDTHS {
-            let mut machines = case_machines(case, K);
-            let mut shadows = case_machines(case, K);
-            differential(
-                &format!("{} [divergent {width:?}]", case.name),
-                &mut machines,
-                &mut shadows,
-                width,
-                instants,
-                |lane, t| {
-                    if t == 0 {
-                        return Vec::new(); // boot
-                    }
-                    case.stimulus[t - 1]
-                        .iter()
-                        .enumerate()
-                        // Deterministic per-lane thinning: lane 0 keeps the
-                        // full stimulus, others drop a varying subset.
-                        .filter(|(j, _)| lane == 0 || (lane + t + j) % 3 != 0)
-                        .map(|(_, n)| ((*n).to_string(), Some(Value::from(true))))
-                        .collect()
-                },
-            );
-        }
+        let mut machines = case_machines(case, K);
+        let mut shadows = case_machines(case, K);
+        differential(
+            &format!("{} [divergent]", case.name),
+            &mut machines,
+            &mut shadows,
+            instants,
+            |lane, t| {
+                if t == 0 {
+                    return Vec::new(); // boot
+                }
+                case.stimulus[t - 1]
+                    .iter()
+                    .enumerate()
+                    // Deterministic per-lane thinning: lane 0 keeps the
+                    // full stimulus, others drop a varying subset.
+                    .filter(|(j, _)| lane == 0 || (lane + t + j) % 3 != 0)
+                    .map(|(_, n)| ((*n).to_string(), Some(Value::from(true))))
+                    .collect()
+            },
+        );
     }
 }
 
@@ -225,7 +217,6 @@ fn divergence_and_readmission_sweep_matches_all_scalar_shadow_pool() {
         let seed = 0xC0_C047_u64 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = Rng::seed_from_u64(seed);
         let size = rng.gen_range(10usize..60);
-        let width = if rng.gen_bool(0.5) { CohortWidth::U64 } else { CohortWidth::Wide };
         let mut machines = synth_machines(size, seed, K);
         let mut shadows = synth_machines(size, seed, K);
 
@@ -272,7 +263,7 @@ fn divergence_and_readmission_sweep_matches_all_scalar_shadow_pool() {
                     cohort.push(m);
                 }
             }
-            let results = react_cohort(&mut cohort, width);
+            let results = react_cohort(&mut cohort);
             drop(cohort);
             let mut outcomes: Vec<Option<Result<Reaction, hiphop_runtime::RuntimeError>>> =
                 (0..K).map(|_| None).collect();
@@ -286,7 +277,7 @@ fn divergence_and_readmission_sweep_matches_all_scalar_shadow_pool() {
                 let want = shadows[s].react();
                 let got = outcomes[s].take().expect("every lane reacted");
                 assert_lane_matches(
-                    &format!("seed {seed} size {size} [{width:?}]"),
+                    &format!("seed {seed} size {size}"),
                     s,
                     t,
                     &got,
@@ -308,79 +299,77 @@ fn divergence_and_readmission_sweep_matches_all_scalar_shadow_pool() {
 fn chaos_fault_inside_a_cohort_peels_the_lane_alone() {
     const K: usize = 33;
     const CHAOTIC: usize = 17; // mid-word lane
-    for width in WIDTHS {
-        let mut machines = synth_machines(40, 0xFA17, K);
-        let mut shadows = synth_machines(40, 0xFA17, K);
-        machines[CHAOTIC].set_chaos(0xDEAD_BEEF, 1.0);
+    let mut machines = synth_machines(40, 0xFA17, K);
+    let mut shadows = synth_machines(40, 0xFA17, K);
+    machines[CHAOTIC].set_chaos(0xDEAD_BEEF, 1.0);
 
-        let mut rng = Rng::seed_from_u64(0xFA17);
-        let mut faults = 0u32;
-        for t in 0..8 {
-            let mut staged: Vec<Vec<(String, Option<Value>)>> = Vec::new();
-            for _ in 0..K {
-                let mut inputs = Vec::new();
-                if t > 0 {
-                    for j in 0..8 {
-                        if rng.gen_bool(0.4) {
-                            inputs
-                                .push((format!("i{j}"), Some(Value::from(rng.gen_range(0i64..5)))));
-                        }
+    let mut rng = Rng::seed_from_u64(0xFA17);
+    let mut faults = 0u32;
+    for t in 0..8 {
+        let mut staged: Vec<Vec<(String, Option<Value>)>> = Vec::new();
+        for _ in 0..K {
+            let mut inputs = Vec::new();
+            if t > 0 {
+                for j in 0..8 {
+                    if rng.gen_bool(0.4) {
+                        inputs
+                            .push((format!("i{j}"), Some(Value::from(rng.gen_range(0i64..5)))));
                     }
                 }
-                staged.push(inputs);
             }
-            for s in 0..K {
-                stage(&mut machines[s], &staged[s]);
-                stage(&mut shadows[s], &staged[s]);
-            }
-            let before = machines[CHAOTIC].state_digest();
-            let mut lanes: Vec<&mut Machine> = machines.iter_mut().collect();
-            let results = react_cohort(&mut lanes, width);
-            for s in 0..K {
-                if s == CHAOTIC {
-                    match &results[s] {
-                        Ok(_) => {
-                            // No action fired for this lane this instant;
-                            // it must still match its (un-staged) shadow.
-                        }
-                        Err(e) => {
-                            faults += 1;
-                            assert!(
-                                e.to_string().contains("chaos"),
-                                "[{width:?}] instant {t}: expected an injected fault, got {e}"
-                            );
-                            assert_eq!(
-                                machines[s].state_digest(),
-                                before,
-                                "[{width:?}] instant {t}: faulting lane must roll back alone"
-                            );
-                            assert!(!machines[s].is_poisoned());
-                        }
+            staged.push(inputs);
+        }
+        for s in 0..K {
+            stage(&mut machines[s], &staged[s]);
+            stage(&mut shadows[s], &staged[s]);
+        }
+        let before = machines[CHAOTIC].state_digest();
+        let mut lanes: Vec<&mut Machine> = machines.iter_mut().collect();
+        let results = react_cohort(&mut lanes);
+        for s in 0..K {
+            if s == CHAOTIC {
+                match &results[s] {
+                    Ok(_) => {
+                        // No action fired for this lane this instant;
+                        // it must still match its (un-staged) shadow.
                     }
-                    // Keep the shadow in lockstep: it reacts fault-free, so
-                    // after a fault the pair intentionally diverges; reset
-                    // the shadow from the machine's trajectory by reacting
-                    // it regardless (outputs unchecked for this lane).
-                    let _ = shadows[s].react();
-                } else {
-                    let want = shadows[s].react();
-                    assert_lane_matches(
-                        &format!("chaos [{width:?}]"),
-                        s,
-                        t,
-                        &results[s],
-                        &want,
-                        &machines[s],
-                        &shadows[s],
-                    );
+                    Err(e) => {
+                        faults += 1;
+                        assert!(
+                            e.to_string().contains("chaos"),
+                            "instant {t}: expected an injected fault, got {e}"
+                        );
+                        assert_eq!(
+                            machines[s].state_digest(),
+                            before,
+                            "instant {t}: faulting lane must roll back alone"
+                        );
+                        assert!(!machines[s].is_poisoned());
+                    }
                 }
+                // Keep the shadow in lockstep: it reacts fault-free, so
+                // after a fault the pair intentionally diverges; reset
+                // the shadow from the machine's trajectory by reacting
+                // it regardless (outputs unchecked for this lane).
+                let _ = shadows[s].react();
+            } else {
+                let want = shadows[s].react();
+                assert_lane_matches(
+                    "chaos",
+                    s,
+                    t,
+                    &results[s],
+                    &want,
+                    &machines[s],
+                    &shadows[s],
+                );
             }
         }
-        assert!(
-            faults > 0,
-            "[{width:?}] chaos rate 1.0 must fault at least once in 8 instants"
-        );
     }
+    assert!(
+        faults > 0,
+        "chaos rate 1.0 must fault at least once in 8 instants"
+    );
 }
 
 // ------------------------------------------------- lane-count edge cases
@@ -389,30 +378,27 @@ fn chaos_fault_inside_a_cohort_peels_the_lane_alone() {
 /// all match scalar shadows; size 0 returns an empty result vector.
 #[test]
 fn lane_count_edges_1_32_33_match_scalar_and_0_is_empty() {
-    for width in WIDTHS {
-        let empty: Vec<Result<Reaction, hiphop_runtime::RuntimeError>> =
-            react_cohort(&mut [], width);
-        assert!(empty.is_empty(), "[{width:?}] the empty cohort reacts to nothing");
-        for k in [1usize, 32, 33] {
-            let mut machines = synth_machines(30, 0xED6E ^ k as u64, k);
-            let mut shadows = synth_machines(30, 0xED6E ^ k as u64, k);
-            differential(
-                &format!("edge k={k} [{width:?}]"),
-                &mut machines,
-                &mut shadows,
-                width,
-                6,
-                |lane, t| {
-                    if t == 0 {
-                        return Vec::new();
-                    }
-                    (0..8)
-                        .filter(|j| (lane * 7 + t * 3 + j) % 4 == 0)
-                        .map(|j| (format!("i{j}"), Some(Value::from((lane + t) as i64 % 5))))
-                        .collect()
-                },
-            );
-        }
+    let empty: Vec<Result<Reaction, hiphop_runtime::RuntimeError>> =
+        react_cohort(&mut []);
+    assert!(empty.is_empty(), "the empty cohort reacts to nothing");
+    for k in [1usize, 32, 33] {
+        let mut machines = synth_machines(30, 0xED6E ^ k as u64, k);
+        let mut shadows = synth_machines(30, 0xED6E ^ k as u64, k);
+        differential(
+            &format!("edge k={k}"),
+            &mut machines,
+            &mut shadows,
+            6,
+            |lane, t| {
+                if t == 0 {
+                    return Vec::new();
+                }
+                (0..8)
+                    .filter(|j| (lane * 7 + t * 3 + j) % 4 == 0)
+                    .map(|j| (format!("i{j}"), Some(Value::from((lane + t) as i64 % 5))))
+                    .collect()
+            },
+        );
     }
 }
 
@@ -422,64 +408,60 @@ fn lane_count_edges_1_32_33_match_scalar_and_0_is_empty() {
 #[test]
 fn lane_compaction_after_close_preserves_survivor_digests() {
     const K: usize = 33;
-    for width in WIDTHS {
-        let mut machines = synth_machines(30, 0xC105E, K);
-        let mut shadows = synth_machines(30, 0xC105E, K);
-        let sched = |lane: usize, t: usize| -> Vec<(String, Option<Value>)> {
-            if t == 0 {
-                return Vec::new();
-            }
-            (0..8)
-                .filter(|j| (lane + t + j).is_multiple_of(3))
-                .map(|j| (format!("i{j}"), Some(Value::from(t as i64))))
-                .collect()
-        };
-        differential(
-            &format!("pre-close [{width:?}]"),
-            &mut machines,
-            &mut shadows,
-            width,
-            4,
-            sched,
-        );
-        // Close every third session: survivors shift down into fresh lane
-        // positions (compaction), digests must keep tracking the shadows.
-        let mut lane = 0;
-        machines.retain(|_| {
-            lane += 1;
-            (lane - 1) % 3 != 0
-        });
-        lane = 0;
-        shadows.retain(|_| {
-            lane += 1;
-            (lane - 1) % 3 != 0
-        });
-        differential(
-            &format!("post-close [{width:?}]"),
-            &mut machines,
-            &mut shadows,
-            width,
-            4,
-            sched,
-        );
-    }
+    let mut machines = synth_machines(30, 0xC105E, K);
+    let mut shadows = synth_machines(30, 0xC105E, K);
+    let sched = |lane: usize, t: usize| -> Vec<(String, Option<Value>)> {
+        if t == 0 {
+            return Vec::new();
+        }
+        (0..8)
+            .filter(|j| (lane + t + j).is_multiple_of(3))
+            .map(|j| (format!("i{j}"), Some(Value::from(t as i64))))
+            .collect()
+    };
+    differential(
+        "pre-close",
+        &mut machines,
+        &mut shadows,
+        4,
+        sched,
+    );
+    // Close every third session: survivors shift down into fresh lane
+    // positions (compaction), digests must keep tracking the shadows.
+    let mut lane = 0;
+    machines.retain(|_| {
+        lane += 1;
+        (lane - 1) % 3 != 0
+    });
+    lane = 0;
+    shadows.retain(|_| {
+        lane += 1;
+        (lane - 1) % 3 != 0
+    });
+    differential(
+        "post-close",
+        &mut machines,
+        &mut shadows,
+        4,
+        sched,
+    );
 }
 
 // ------------------------------------- fact-driven shrinking differential
 
 /// The inter-instant dataflow shrink must be invisible to the cohort
 /// engine too: the same seeded lane schedules produce identical output
-/// traces on the shrunk and unshrunk compiles of the same program,
-/// under both lane widths. (State digests are circuit-shaped and so only
+/// traces on the shrunk and unshrunk compiles of the same program.
+/// (State digests are circuit-shaped and so only
 /// comparable within one compile; observable outputs compare across.)
 #[test]
-fn fact_shrunk_circuits_match_unshrunk_outputs_under_both_widths() {
+fn fact_shrunk_circuits_match_unshrunk_outputs_in_cohorts() {
     use hiphop::compiler::{compile_module_with, CompileOptions};
     const K: usize = 9;
     for case in 0..6u64 {
         let seed = 0xFAC75 ^ case.wrapping_mul(0x9E3779B97F4A7C15);
         let module = synthetic_program(60, seed);
-        let run = |dataflow: bool, width: CohortWidth| -> Vec<String> {
+        let run = |dataflow: bool| -> Vec<String> {
             let c = compile_module_with(
                 &module,
                 &ModuleRegistry::new(),
@@ -501,7 +483,7 @@ fn fact_shrunk_circuits_match_unshrunk_outputs_under_both_widths() {
                     }
                 }
                 let mut lanes: Vec<&mut Machine> = machines.iter_mut().collect();
-                for r in react_cohort(&mut lanes, width) {
+                for r in react_cohort(&mut lanes) {
                     let r = r.expect("reaction");
                     let mut outs: Vec<String> = r
                         .outputs
@@ -514,12 +496,10 @@ fn fact_shrunk_circuits_match_unshrunk_outputs_under_both_widths() {
             }
             trace
         };
-        for width in WIDTHS {
-            assert_eq!(
-                run(true, width),
-                run(false, width),
-                "seed {seed:#x}: the fact shrink changes cohort outputs under {width:?}"
-            );
-        }
+        assert_eq!(
+            run(true),
+            run(false),
+            "seed {seed:#x}: the fact shrink changes cohort outputs"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! 1. **Seeded snapshot/restore sweep.** Random synthetic programs
 //!    driven under every engine (levelized/constructive/sparse) ×
-//!    cohort mode (off/u64/wide) × shard count (1/3/8), checkpointed
+//!    cohort mode (off/on) × shard count (1/3/8), checkpointed
 //!    mid-run, restored onto a *different* shard count, and driven in
 //!    lockstep with the undisturbed pool: every post-restore tick must
 //!    be digest-identical.
@@ -39,7 +39,7 @@ use hiphop_eventloop::supervisor::{
     supervised_async, ActivityPolicy, SupervisedSpec, Supervisor,
 };
 use hiphop_runtime::{
-    machine_for, CohortWidth, EngineMode, Machine, PoolSnapshot, RecorderConfig,
+    machine_for, EngineMode, Machine, PoolSnapshot, RecorderConfig,
     ReplayOptions,
 };
 use std::collections::BTreeMap;
@@ -97,7 +97,7 @@ fn digests_of(pool: &SessionPool) -> BTreeMap<SessionId, String> {
 #[test]
 fn snapshot_restore_is_digest_transparent_across_engines_cohorts_and_shards() {
     const SESSIONS: u64 = 6;
-    let cohorts = [None, Some(CohortWidth::U64), Some(CohortWidth::Wide)];
+    let cohorts = [false, true];
     let engines = [
         EngineMode::Levelized,
         EngineMode::Constructive,
@@ -221,16 +221,20 @@ fn killed_shard_recovers_from_checkpoint_plus_journal_suffix() {
     let chaos_factory = {
         let bomb = bomb.clone();
         move |id: SessionId| {
-            if bomb.load(Ordering::SeqCst) {
-                // A real crash: the unwind takes the shard thread down.
-                panic!("injected shard crash while building {id}");
-            }
             let compiled = compile_module(&counter_module(), &ModuleRegistry::new())
                 .map_err(|e| e.to_string())?;
             let mut m = Machine::new(compiled.circuit).map_err(|e| e.to_string())?;
             // Seeded per-session faults: recovery must resume the
             // exact fault schedule for the suffix digests to match.
             m.set_chaos(0xFAA17 ^ id.0, 0.1);
+            let bomb = bomb.clone();
+            m.on_reaction(move |_| {
+                if bomb.load(Ordering::SeqCst) {
+                    // A real crash: listeners run outside the reaction's
+                    // panic guard, so the unwind takes the shard down.
+                    panic!("injected shard crash in {id}");
+                }
+            });
             Ok(m)
         }
     };
@@ -267,10 +271,10 @@ fn killed_shard_recovers_from_checkpoint_plus_journal_suffix() {
     }
     let rec = pool.recording().expect("journal");
 
-    // Kill a shard for real: the next open unwinds its thread, and the
-    // pool reports it instead of hanging or lying.
+    // Kill the shards for real: the next tick unwinds their threads, and
+    // the pool reports it instead of hanging or lying.
     bomb.store(true, Ordering::SeqCst);
-    let err = pool.open(&[SessionId(9999)]).expect_err("shard must die");
+    let err = pool.tick().expect_err("shard must die");
     assert!(err.to_string().contains("gone"), "{err}");
     drop(pool); // the crash site is gone
 

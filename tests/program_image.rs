@@ -19,7 +19,7 @@ use hiphop_core::prelude::*;
 use hiphop_core::rng::Rng;
 use hiphop_eventloop::sessions::{SessionId, SessionPool};
 use hiphop_runtime::image::live_images;
-use hiphop_runtime::{cohort_key, react_cohort, CohortWidth, EngineMode, Machine};
+use hiphop_runtime::{cohort_key, react_cohort, EngineMode, Machine};
 use std::sync::{Arc, Mutex};
 
 fn compile(stmts: usize, seed: u64) -> Circuit {
@@ -183,7 +183,7 @@ fn cohort_lanes_on_one_image_match_scalar_machines() {
             scalar.react().expect("reacts");
         }
         let mut refs: Vec<&mut Machine> = lanes.iter_mut().collect();
-        for r in react_cohort(&mut refs, CohortWidth::U64) {
+        for r in react_cohort(&mut refs) {
             r.expect("reacts");
         }
         for (lane, scalar) in lanes.iter().zip(&scalars) {
